@@ -1,8 +1,20 @@
 """Command-line frontend: simulate, extract, train, eval, sweep, ablate,
 baseline, and the online detector.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Data errors print a
-single machine-parsable line on stderr.
+Exit codes: 0 success, 1 usage error, 2 data error. A data error prints a
+single machine-parsable line on stderr:
+
+    error: <ExceptionClass>: <message>
+
+``detect`` does not stop at a bad input line. It reports the line and goes
+on with the next one:
+
+    error: frame <N>: <ExceptionClass>: <message>
+
+N is the 1-based line number in the input stream, counting blank lines and
+the header, and is the first number on the line. ``detect`` flushes its
+output whenever it has handled every complete line read so far, so each
+detection is delivered before the detector waits for more input.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from .tactile import FingertipGeometry, TaxelFrame, load_geometry, save_geometry
 
 FEATURES_FORMAT = "gripwatch-features"
 FEATURES_VERSION = 1
+DETECT_READ_SIZE = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -241,42 +254,65 @@ def _cmd_detect(args):
     detector = MultiFingerDetector(
         model, geometry, tau=args.tau, dwt_config=DwtConfig(n_w=args.n_w)
     )
-    source = open(getattr(args, "in")) if getattr(args, "in") else sys.stdin
+    path = getattr(args, "in")
+    source = open(path, "rb") if path else sys.stdin.buffer
+    lineno = 0
+    tail = b""  # a line whose newline has not been read yet
     try:
-        for lineno, line in enumerate(source, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if "format" in record:  # episode header line
-                    continue
-                frame = TaxelFrame(
-                    float(record["t"]),
-                    str(record["fingertip"]),
-                    np.array(record["taxels"], dtype=float),
-                )
-                detections = detector.process(frame)
-            except (GripwatchError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                print(f"error: frame {lineno}: {exc}", file=sys.stderr)
-                continue
-            for d in detections:
-                sys.stdout.write(
-                    json.dumps(
-                        {
-                            "t": d.timestamp,
-                            "fingertip": d.fingertip_id,
-                            "state": d.state,
-                            "p_stable": d.p_stable,
-                            "sigma": d.sigma,
-                        }
-                    )
-                    + "\n"
-                )
+        # read1 returns whatever input is available, so the flush after the
+        # lines of one read delivers every detection before the next read
+        # can block.
+        while chunk := source.read1(DETECT_READ_SIZE):
+            *lines, tail = (tail + chunk).split(b"\n")
+            for line in lines:
+                lineno += 1
+                _detect_line(detector, lineno, line)
+            sys.stdout.flush()
+        if tail:
+            _detect_line(detector, lineno + 1, tail)
+        _write_detections(detector.finish())
+        sys.stdout.flush()
     finally:
-        if source is not sys.stdin:
+        if path:
             source.close()
     return 0
+
+
+def _detect_line(detector, lineno, line):
+    line = line.strip()
+    if not line:
+        return
+    try:
+        record = json.loads(line)
+        if "format" in record:  # episode header line
+            return
+        frame = TaxelFrame(
+            float(record["t"]),
+            str(record["fingertip"]),
+            np.array(record["taxels"], dtype=float),
+        )
+        detections = detector.process(frame)
+    # ValueError covers invalid JSON and invalid UTF-8.
+    except (GripwatchError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: frame {lineno}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return
+    _write_detections(detections)
+
+
+def _write_detections(detections):
+    for d in detections:
+        sys.stdout.write(
+            json.dumps(
+                {
+                    "t": d.timestamp,
+                    "fingertip": d.fingertip_id,
+                    "state": d.state,
+                    "p_stable": d.p_stable,
+                    "sigma": d.sigma,
+                }
+            )
+            + "\n"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,11 +384,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GripwatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GripwatchError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

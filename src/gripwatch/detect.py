@@ -5,16 +5,20 @@ trained model, and a contact threshold tau. Frames with force amplitude
 below tau are reported as no-contact without consulting the classifier.
 When tau is not given it is estimated as three times the amplitude noise
 floor observed over the first frames of the stream (assumed contact-free).
+A stream that ends before the calibration prefix is complete calibrates tau
+from the frames it has, in ``finish``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteInput
 from .features import DwtConfig, StreamingExtractor
-from .models import LinearModel, predict_proba, predict_score
+from .models import LinearModel, predict_score, sigmoid
 from .tactile import FingertipGeometry, TaxelFrame, aggregate_tip_force
 
 NO_CONTACT = "no_contact"
@@ -59,6 +63,10 @@ class FingertipDetector:
         Output lags input during warm-up and, with automatic tau, during the
         calibration prefix (those detections are emitted retroactively).
         """
+        # A NaN timestamp compares false against everything, so it would
+        # pass the extractor's ordering check and then disable it.
+        if not math.isfinite(frame.timestamp):
+            raise NonFiniteInput(f"non-finite timestamp {frame.timestamp}")
         sample = aggregate_tip_force(frame, self.geometry)
         phi = self._extractor.push(sample)
 
@@ -68,26 +76,33 @@ class FingertipDetector:
                 self._pending.append((frame.fingertip_id, phi))
             if len(self._calibration) < TAU_CALIBRATION_FRAMES:
                 return []
-            noise_std = float(np.std(self._calibration))
-            self.tau = max(TAU_NOISE_MULTIPLIER * noise_std, TAU_FLOOR)
-            self._calibration = None
-            out = [self._classify(fid, p) for fid, p in self._pending]
-            self._pending = []
-            return out
+            return self._calibrate()
 
         if phi is None:
             return []
         return [self._classify(frame.fingertip_id, phi)]
 
+    def finish(self) -> list[Detection]:
+        """End of stream: if tau is still calibrating, calibrate it from the
+        frames seen so far and return the detections held back for it."""
+        if not self._calibration:
+            return []
+        return self._calibrate()
+
+    def _calibrate(self) -> list[Detection]:
+        noise_std = float(np.std(self._calibration))
+        self.tau = max(TAU_NOISE_MULTIPLIER * noise_std, TAU_FLOOR)
+        self._calibration = None
+        out = [self._classify(fid, p) for fid, p in self._pending]
+        self._pending = []
+        return out
+
     def _classify(self, fingertip_id: str, phi) -> Detection:
         if phi.f_a < self.tau:
             return Detection(phi.timestamp, fingertip_id, NO_CONTACT, None, phi.sigma)
-        if self.model.kind == "logreg":
-            p = predict_proba(self.model, phi)
-            state = STABLE if p > 0.5 else UNSTABLE
-        else:
-            p = None
-            state = STABLE if predict_score(self.model, phi) > 0.0 else UNSTABLE
+        score = predict_score(self.model, phi)
+        state = STABLE if score > 0.0 else UNSTABLE
+        p = float(sigmoid(score)) if self.model.kind == "logreg" else None
         return Detection(phi.timestamp, fingertip_id, state, p, phi.sigma)
 
 
@@ -115,9 +130,15 @@ class MultiFingerDetector:
             self._detectors[frame.fingertip_id] = detector
         return detector.process(frame)
 
+    def finish(self) -> list[Detection]:
+        """End of stream: the detections still held back for tau calibration,
+        fingertip by fingertip in order of first appearance."""
+        return [d for detector in self._detectors.values() for d in detector.finish()]
+
 
 def detect_stream(frames, model, geometry, tau=None, dwt_config=None):
     """Run the detector over an iterable of frames, yielding detections."""
     detector = MultiFingerDetector(model, geometry, tau=tau, dwt_config=dwt_config)
     for frame in frames:
         yield from detector.process(frame)
+    yield from detector.finish()

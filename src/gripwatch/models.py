@@ -128,13 +128,14 @@ def logreg_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda:
     w, b = theta[:-1], theta[-1]
     z = X @ w + b
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2_lambda * w @ w)
-    p = _sigmoid(z)
+    p = sigmoid(z)
     residual = (p - y) / len(y)
     grad = np.concatenate([X.T @ residual + l2_lambda * w, [residual.sum()]])
     return loss, grad
 
 
-def _sigmoid(z):
+def sigmoid(z):
+    """Logistic function 1 / (1 + e^-z), through tanh so it cannot overflow."""
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
@@ -263,7 +264,7 @@ def predict_proba(model: LinearModel, phi) -> float:
     """Probability of the stable class; logistic regression only."""
     if model.kind != "logreg":
         raise WrongModelKind(f"predict_proba needs a logreg model, got {model.kind!r}")
-    return float(_sigmoid(predict_score(model, phi)))
+    return float(sigmoid(predict_score(model, phi)))
 
 
 def predict_label(model: LinearModel, phi) -> int:

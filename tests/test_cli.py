@@ -1,7 +1,12 @@
 import json
+import os
+import re
+import select
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 
 from gripwatch.cli import main
@@ -20,6 +25,32 @@ def workspace(tmp_path_factory):
     model = root / "model.json"
     assert main(["train", "--features", str(features), "--out", str(model)]) == 0
     return root
+
+
+def _detect_argv(workspace, *extra):
+    return [
+        "detect",
+        "--model",
+        str(workspace / "model.json"),
+        "--geometry",
+        str(workspace / "data" / "geometry.json"),
+        *extra,
+    ]
+
+
+def _episode_lines(workspace):
+    episode = sorted((workspace / "data").glob("episode*.jsonl"))[0]
+    return episode.read_bytes().splitlines()
+
+
+ERROR_LINE = re.compile(r"error: frame (\d+): (\w+): ")
+
+
+def _strict_json(line):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(line, parse_constant=reject)
 
 
 def test_simulate_writes_episode_files_and_geometry(workspace):
@@ -124,10 +155,17 @@ def test_detect_empty_stdin_exits_zero(workspace):
 
 def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
     episode = sorted((workspace / "data").glob("episode*.jsonl"))[0]
-    lines = episode.read_text().splitlines()
+    lines = episode.read_bytes().splitlines()
+    nan_t = json.dumps({**json.loads(lines[40]), "t": float("nan")}).encode()
     fuzzed = tmp_path / "fuzzed.jsonl"
-    broken = ["{not json", '{"t": 1}', '{"t": "x", "fingertip": "f", "taxels": 3}']
-    fuzzed.write_text("\n".join(lines[:40] + broken + lines[40:80]) + "\n")
+    broken = [
+        b"{not json",
+        b'{"t": 1}',
+        b'{"t": "x", "fingertip": "f", "taxels": 3}',
+        b'{"t": 1.0, "fingertip": "f\xff", "taxels": []}',  # invalid UTF-8
+        nan_t,
+    ]
+    fuzzed.write_bytes(b"\n".join(lines[:40] + broken + lines[40:80]) + b"\n")
     rc = main(
         [
             "detect",
@@ -143,9 +181,110 @@ def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
     )
     captured = capsys.readouterr()
     assert rc == 0
-    assert captured.err.count("error: frame") == 3
-    # 79 valid frames survive (header excluded), minus the warm-up prefix
-    assert len(captured.out.splitlines()) == 79 - 13
+    errors = [ERROR_LINE.match(line) for line in captured.err.splitlines()]
+    assert all(errors), captured.err
+    assert [(int(m[1]), m[2]) for m in errors] == [
+        (41, "JSONDecodeError"),
+        (42, "KeyError"),
+        (43, "ValueError"),
+        (44, "UnicodeDecodeError"),
+        (45, "NonFiniteInput"),
+    ]
+    # 79 valid frames survive (header excluded), minus the warm-up prefix;
+    # every output line is strict JSON
+    out = [_strict_json(line) for line in captured.out.splitlines()]
+    assert len(out) == 79 - 13
+
+
+def test_short_stream_with_auto_tau_flushes_at_end(workspace, capsys, tmp_path):
+    short = tmp_path / "short.jsonl"
+    short.write_bytes(b"\n".join(_episode_lines(workspace)[:32]) + b"\n")  # header + 31
+    counts = []
+    for extra in ([], ["--tau", "0.5"]):
+        assert main(_detect_argv(workspace, *extra, "--in", str(short))) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        counts.append(len(captured.out.splitlines()))
+    assert counts == [31 - 13, 31 - 13]
+
+
+class _Pieces:
+    """Stands in for stdin's binary buffer, returning one piece per read1."""
+
+    def __init__(self, data, cuts):
+        bounds = [0, *cuts, len(data)]
+        self._pieces = iter(data[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def read1(self, size):
+        return next(self._pieces, b"")
+
+
+def test_detect_output_does_not_depend_on_read_boundaries(
+    workspace, capsys, monkeypatch, tmp_path
+):
+    lines = _episode_lines(workspace)[:60]
+    lines[20:20] = [b"", b"{broken", b'{"t": 0.0, "fingertip": "ft0"}']
+    data = b"\n".join(lines) + b"\n"
+    results = []
+
+    def run(*extra):
+        assert main(_detect_argv(workspace, *extra)) == 0
+        captured = capsys.readouterr()
+        numbers = [int(ERROR_LINE.match(line)[1]) for line in captured.err.splitlines()]
+        results.append((captured.out, numbers))
+
+    whole = tmp_path / "whole.jsonl"
+    whole.write_bytes(data)
+    run("--in", str(whole))
+    unterminated = tmp_path / "unterminated.jsonl"
+    unterminated.write_bytes(data[:-1])
+    run("--in", str(unterminated))
+    rng = np.random.default_rng(3)
+    cuts = np.sort(rng.choice(np.arange(1, len(data)), size=200, replace=False)).tolist()
+    # each read returns exactly one piece, so most reads end inside a line
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Pieces(data, cuts)))
+        run()
+    # the same pieces written one by one to a real pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripwatch.cli", *_detect_argv(workspace)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    for a, b in zip([0, *cuts], [*cuts, len(data)]):
+        proc.stdin.write(data[a:b])
+        proc.stdin.flush()
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    numbers = [int(ERROR_LINE.match(line)[1]) for line in err.decode().splitlines()]
+    results.append((out.decode(), numbers))
+    assert results[0][1] == [22, 23]
+    assert len(results[0][0].splitlines()) == 59 - 13
+    assert results[1:] == [results[0]] * 3
+
+
+def test_detect_delivers_each_detection_before_the_next_frame(workspace):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "gripwatch.cli", *_detect_argv(workspace, "--tau", "0.5")]
+    # leaving the block closes detect's stdin, so it ends even if a check fails
+    with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env) as proc:
+        pending = b""
+        for i, line in enumerate(_episode_lines(workspace)[1:31]):
+            proc.stdin.write(line + b"\n")
+            proc.stdin.flush()
+            if i < 13:  # warm-up
+                continue
+            while b"\n" not in pending:
+                ready, _, _ = select.select([proc.stdout], [], [], 5.0)
+                assert ready, f"no detection within 5 s of frame {i + 1}"
+                chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                assert chunk, "detect closed its stdout"
+                pending += chunk
+            detection, pending = pending.split(b"\n", 1)
+            assert json.loads(detection)["t"] == json.loads(line)["t"]
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 0
 
 
 def test_train_rejects_unlabeled_features(workspace, tmp_path, capsys):
@@ -175,7 +314,7 @@ def test_usage_error_exit_code():
 def test_missing_file_is_data_error(tmp_path, capsys):
     rc = main(["extract", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "f")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert re.match(r"error: FileNotFoundError: ", capsys.readouterr().err)
 
 
 def test_commands_are_byte_deterministic(tmp_path):

@@ -9,8 +9,9 @@ from gripwatch.detect import (
     MultiFingerDetector,
     detect_stream,
 )
+from gripwatch.errors import NonFiniteInput, OutOfOrderTimestamp
 from gripwatch.features import DwtConfig
-from gripwatch.models import TrainConfig, train
+from gripwatch.models import DEFAULT_MASK, LinearModel, Standardizer, TrainConfig, train
 from gripwatch.simulate import DisturbanceConfig, EpisodeConfig, PhaseDurations, generate_dataset
 from gripwatch.evaluate import dataset_feature_matrix
 from gripwatch.tactile import FingertipGeometry, TaxelFrame
@@ -138,3 +139,40 @@ def test_per_finger_model_routing(model, geometry):
     for f in zero_frames(5, "x") + zero_frames(5, "y"):
         detector.process(f)
     assert sorted(calls) == ["x", "y"]
+
+
+def test_short_stream_calibrates_tau_at_finish(model, geometry, episodes):
+    frames = episodes[0].frames[:31]
+    detector = FingertipDetector(model, geometry)
+    assert [d for f in frames for d in detector.process(f)] == []
+    out = detector.finish()
+    assert len(out) == 31 - 13
+    assert detector.tau > 0
+    assert detector.finish() == []
+    assert len(list(detect_stream(frames, model, geometry))) == 31 - 13
+
+
+def test_nan_timestamp_rejected_without_touching_order(model, geometry):
+    detector = FingertipDetector(model, geometry, tau=0.5)
+    frames = zero_frames(3)
+    detector.process(frames[1])
+    with pytest.raises(NonFiniteInput):
+        detector.process(TaxelFrame(float("nan"), "ft0", np.zeros((N_S, 3))))
+    with pytest.raises(OutOfOrderTimestamp):
+        detector.process(frames[0])
+    detector.process(frames[2])
+
+
+def test_state_and_probability_follow_one_score(geometry):
+    # score = 1e-17 > 0 rounds to p = 0.5 exactly; the state must be stable
+    tiny = LinearModel(
+        "logreg",
+        np.zeros(5),
+        1e-17,
+        Standardizer(np.zeros(5), np.ones(5)),
+        DEFAULT_MASK,
+        TrainConfig(),
+    )
+    frames = [TaxelFrame(i / 150.0, "ft0", np.ones((N_S, 3))) for i in range(14)]
+    [d] = list(detect_stream(frames, tiny, geometry, tau=0.0))
+    assert (d.state, d.p_stable) == (STABLE, 0.5)

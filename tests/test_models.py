@@ -136,9 +136,9 @@ def test_zero_model_scores_zero_and_predicts_unstable():
 
 def test_sigmoid_reference_value():
     # sigma(2) = 1 / (1 + e^-2), frozen from high-precision evaluation
-    from gripwatch.models import _sigmoid
+    from gripwatch.models import sigmoid
 
-    assert _sigmoid(2.0) == pytest.approx(0.8807970779778823, abs=1e-12)
+    assert sigmoid(2.0) == pytest.approx(0.8807970779778823, abs=1e-12)
 
 
 def test_predict_proba_rejects_svm():
@@ -173,9 +173,9 @@ def test_gradient_matches_finite_differences():
 
 def test_monotone_link():
     scores = np.linspace(-10, 10, 101)
-    from gripwatch.models import _sigmoid
+    from gripwatch.models import sigmoid
 
-    probs = _sigmoid(scores)
+    probs = sigmoid(scores)
     assert np.all(np.diff(probs) > 0)
 
 
