@@ -7,12 +7,14 @@ Generates the 6-object x 5-episode dataset, then reports:
   3. the feature-group ablation,
   4. the detail-energy threshold baseline.
 
-Everything is seeded, so reruns print identical numbers.
+Everything is seeded, so reruns print identical output on stdout; the
+elapsed time goes to stderr.
 
 Usage: python3 scripts/reproduce_tables.py [--objects N] [--episodes N] [--seed S]
 """
 
 import argparse
+import sys
 import time
 
 from gripwatch.evaluate import (
@@ -58,7 +60,7 @@ def main() -> None:
     print(f"threshold={baseline.threshold:.6g} degenerate={baseline.degenerate}")
     print(f"  test: {format_report(baseline.test_report)}")
 
-    print(f"\ndone in {time.perf_counter() - start:.1f}s")
+    print(f"done in {time.perf_counter() - start:.1f}s", file=sys.stderr)
 
 
 if __name__ == "__main__":

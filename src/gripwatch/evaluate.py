@@ -19,6 +19,7 @@ from .models import (
     DEFAULT_MASK,
     LinearModel,
     TrainConfig,
+    check_binary_labels,
     predict_label_batch,
     train,
 )
@@ -42,8 +43,8 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, predicted, actual) -> "ConfusionMatrix":
-        predicted = np.asarray(predicted, dtype=int)
-        actual = np.asarray(actual, dtype=int)
+        predicted = check_binary_labels(predicted, "predictions")
+        actual = check_binary_labels(actual, "labels")
         if predicted.shape != actual.shape:
             raise InvariantViolation("prediction/label length mismatch")
         return cls(
@@ -103,15 +104,8 @@ def split_indices(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarr
     return order[:cut], order[cut:]
 
 
-def split_dataset(items, ratio: float, mode: str, seed: int):
-    """Deterministic shuffled split.
-
-    mode "sample" splits pooled items individually (the default protocol);
-    mode "episode" holds out whole episodes, which avoids leakage between
-    windows of the same episode.
-    """
-    if mode not in ("sample", "episode"):
-        raise InvalidConfig(f"unknown split mode {mode!r}")
+def split_dataset(items, ratio: float, seed: int):
+    """Deterministic shuffled split of the items into (train, test) lists."""
     items = list(items)
     train_idx, test_idx = split_indices(len(items), ratio, seed)
     return [items[i] for i in train_idx], [items[i] for i in test_idx]
@@ -251,8 +245,9 @@ def energy_threshold_baseline(
     """Single-threshold detector on the detail energy of the normal force F_x.
 
     Windows whose F_x detail energy exceeds the threshold are predicted
-    unstable. The threshold is the training-accuracy-maximizing midpoint of
-    the sorted training energies (exhaustive 1-D scan).
+    unstable. The threshold is the training-accuracy-maximizing candidate
+    among the midpoints between consecutive distinct training energies and
+    one point beyond each end; ties go to the lowest candidate.
     """
     dwt_config = dwt_config or DwtConfig()
     _, y, energy = dataset_feature_matrix(episodes, dwt_config)
@@ -263,12 +258,15 @@ def energy_threshold_baseline(
     candidates = np.concatenate(
         [[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0]]
     )
-    # predict stable (1) when energy <= threshold
-    best_threshold, best_correct = None, -1
-    for theta in candidates:
-        correct = int(np.sum((e_train <= theta).astype(int) == y_train))
-        if correct > best_correct:
-            best_threshold, best_correct = float(theta), correct
+    # Predict stable (1) when energy <= threshold, so a candidate classifies
+    # correctly the stable windows at or below it and the unstable ones above.
+    order = np.argsort(e_train, kind="stable")
+    at_or_below = np.searchsorted(e_train[order], candidates, side="right")
+    stable_cum = np.concatenate([[0], np.cumsum(y_train[order] == 1)])
+    stable_at_or_below = stable_cum[at_or_below]
+    unstable_above = (len(y_train) - stable_cum[-1]) - (at_or_below - stable_at_or_below)
+    # argmax keeps the first maximum, i.e. the lowest best candidate
+    best_threshold = float(candidates[np.argmax(stable_at_or_below + unstable_above)])
 
     def report(e, labels):
         preds = (e <= best_threshold).astype(int)

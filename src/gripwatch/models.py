@@ -102,9 +102,19 @@ def _as_matrix(features) -> tuple[np.ndarray, np.ndarray | None]:
     return X, y
 
 
+def check_binary_labels(labels, what: str) -> np.ndarray:
+    """Labels as an int array; anything but 0 (unstable) or 1 (stable) raises."""
+    labels = np.asarray(labels)
+    valid = np.isin(labels, (0, 1))
+    if not valid.all():
+        bad = np.unique(labels[~valid])[:5].tolist()
+        raise InvariantViolation(f"{what} must be 0 or 1, got {bad}")
+    return labels.astype(int)
+
+
 def fit_standardizer(features, mask=FULL_MASK) -> Standardizer:
     """Per-column mean and population std over the masked feature matrix."""
-    X, _ = _as_matrix(features) if not isinstance(features, np.ndarray) else (features, None)
+    X, _ = _as_matrix(features)
     if len(X) == 0:
         raise EmptyDataset("cannot standardize an empty feature set")
     cols = X[:, np.asarray(mask, dtype=bool)] if X.shape[1] == len(mask) else X
@@ -127,7 +137,12 @@ def logreg_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda:
     """
     w, b = theta[:-1], theta[-1]
     z = X @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2_lambda * w @ w)
+    # softplus(z) = log(1 + e^z) by the formula np.logaddexp(0, z) uses, but
+    # as whole-array exp and log1p, which are SIMD loops where logaddexp is a
+    # scalar one. The exponent is clamped at -708 so that exp cannot
+    # underflow; past |z| = 708 the log1p term is below 1e-307.
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.minimum(np.abs(z), 708.0)))
+    loss = float(np.mean(softplus - y * z) + 0.5 * l2_lambda * w @ w)
     p = sigmoid(z)
     residual = (p - y) / len(y)
     grad = np.concatenate([X.T @ residual + l2_lambda * w, [residual.sum()]])
@@ -140,6 +155,7 @@ def sigmoid(z):
 
 
 def _train_logreg(X, y, config: TrainConfig):
+    y = y.astype(float)
     theta = np.zeros(X.shape[1] + 1)
     loss, grad = logreg_loss_grad(theta, X, y, config.l2_lambda)
     for _ in range(config.max_iters):
@@ -195,13 +211,13 @@ def train(features, config: TrainConfig, mask=DEFAULT_MASK) -> LinearModel:
     if isinstance(features, tuple):
         X_full, y = features
         X_full = np.asarray(X_full, dtype=float)
-        y = np.asarray(y, dtype=int)
     else:
         X_full, y = _as_matrix(features)
         if y is None:
             raise EmptyDataset("unlabeled features")
     if len(X_full) == 0:
         raise EmptyDataset("no training examples")
+    y = check_binary_labels(y, "training labels")
     if not np.all(np.isfinite(X_full)):
         raise NonFiniteFeature("training features contain NaN/Inf")
     classes = np.unique(y)

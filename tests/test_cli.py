@@ -303,6 +303,23 @@ def test_train_rejects_unlabeled_features(workspace, tmp_path, capsys):
     assert "unlabeled features" in capsys.readouterr().err
 
 
+def test_labels_other_than_zero_and_one_are_data_errors(workspace, tmp_path, capsys):
+    signed = tmp_path / "signed.jsonl"
+    lines = (workspace / "features.jsonl").read_text().splitlines()
+    rows = [json.loads(l) for l in lines[1:]]
+    for row in rows:
+        row["label"] = 2 * row["label"] - 1
+    signed.write_text("\n".join([lines[0]] + [json.dumps(r) for r in rows]) + "\n")
+    argvs = (
+        ["train", "--features", str(signed), "--out", str(tmp_path / "m.json")],
+        ["eval", "--model", str(workspace / "model.json"), "--features", str(signed)],
+    )
+    for argv in argvs:
+        assert main(argv) == 2
+        assert "error: InvariantViolation: " in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_usage_error_exit_code():
     result = subprocess.run(
         [sys.executable, "-m", "gripwatch.cli", "train"], capture_output=True

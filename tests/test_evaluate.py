@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gripwatch.errors import EmptyDataset, InvalidConfig
+import gripwatch.evaluate as evaluate
+from gripwatch.errors import EmptyDataset, InvalidConfig, InvariantViolation
 from gripwatch.evaluate import (
     DEFAULT_ABLATION_GROUPS,
+    BaselineReport,
     ConfusionMatrix,
     ablation_study,
     compute_metrics,
@@ -64,6 +66,14 @@ def test_zero_denominator_yields_undefined_marker():
     assert report.fpr == 0.0
 
 
+def test_confusion_rejects_labels_other_than_zero_and_one():
+    assert ConfusionMatrix.from_predictions([1, 0, True], [1, 1, 0]) == ConfusionMatrix(1, 0, 1, 1)
+    bad_pairs = (([1, 0], [1, -1]), ([1, -1], [1, 0]), ([1, 0], [2, 0]), ([1, 0], [0.5, 0]))
+    for predicted, actual in bad_pairs:
+        with pytest.raises(InvariantViolation, match="0 or 1"):
+            ConfusionMatrix.from_predictions(predicted, actual)
+
+
 def test_empty_confusion_rejected():
     with pytest.raises(EmptyDataset):
         compute_metrics(ConfusionMatrix())
@@ -93,7 +103,7 @@ def test_sample_split_sizes_and_disjointness():
 
 def test_episode_split():
     episodes = list(range(30))
-    train, test = split_dataset(episodes, 0.8, "episode", seed=0)
+    train, test = split_dataset(episodes, 0.8, seed=0)
     assert len(train) == 24 and len(test) == 6
     assert sorted(train + test) == episodes
 
@@ -109,8 +119,6 @@ def test_split_validation():
         split_indices(10, 1.5, seed=0)
     with pytest.raises(EmptyDataset):
         split_indices(0, 0.5, seed=0)
-    with pytest.raises(InvalidConfig):
-        split_dataset([1, 2], 0.5, "bogus", seed=0)
 
 
 def test_window_sweep_rows_and_determinism(small_dataset):
@@ -200,3 +208,61 @@ def test_degenerate_all_stable_flagged():
     result = energy_threshold_baseline(episodes, seed=0)
     assert result.test_report.acc == pytest.approx(100.0)
     assert result.degenerate
+
+
+def exhaustive_baseline(y, energy, ratio, seed):
+    """Reference: score every candidate threshold against every training window."""
+    tr, te = split_indices(len(y), ratio, seed)
+    e_train, y_train = energy[tr], y[tr]
+    uniq = np.unique(e_train)
+    candidates = np.concatenate(
+        [[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0]]
+    )
+    best_threshold, best_correct = None, -1
+    for theta in candidates:
+        correct = int(np.sum((e_train <= theta).astype(int) == y_train))
+        if correct > best_correct:
+            best_threshold, best_correct = float(theta), correct
+
+    def report(e, labels):
+        preds = (e <= best_threshold).astype(int)
+        return compute_metrics(ConfusionMatrix.from_predictions(preds, labels))
+
+    degenerate = (
+        best_threshold < float(uniq[0])
+        or best_threshold > float(uniq[-1])
+        or len(np.unique(y[te])) < 2
+    )
+    return BaselineReport(
+        threshold=best_threshold,
+        train_report=report(e_train, y_train),
+        test_report=report(energy[te], y[te]),
+        degenerate=degenerate,
+    )
+
+
+def test_baseline_matches_exhaustive_scan(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(150):
+        n = int(rng.integers(5, 300))
+        y = (rng.random(n) < rng.random()).astype(int)
+        levels = int(rng.integers(1, 8))  # few distinct values: heavy ties
+        energy = rng.integers(0, levels, n) * rng.choice([0.25, 1e-3, 7.0])
+        energy = energy + y * rng.choice([0.0, 1.0])  # sometimes separable
+        cases.append((y, energy))
+    cases += [
+        (rng.integers(0, 2, 50), np.full(50, 3.0)),  # all energies equal
+        (np.ones(40, dtype=int), rng.random(40)),  # single-class labels
+        (np.zeros(40, dtype=int), rng.integers(0, 3, 40).astype(float)),
+        (np.array([1, 1, 1, 1, 0] * 10), np.zeros(50)),
+        # adjacent floats: their midpoint rounds onto the lower one
+        (np.array([1, 0] * 25), np.array([1.0, np.nextafter(1.0, 2.0)] * 25)),
+    ]
+    for i, (y, energy) in enumerate(cases):
+        monkeypatch.setattr(
+            evaluate, "dataset_feature_matrix", lambda *_args, **_kw: (None, y, energy)
+        )
+        for ratio, seed in ((0.8, i), (0.5, 0)):
+            expected = exhaustive_baseline(y, energy, ratio, seed)
+            assert energy_threshold_baseline([], ratio=ratio, seed=seed) == expected

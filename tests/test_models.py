@@ -95,6 +95,16 @@ def test_single_class_dataset_rejected():
         train((X, np.ones(10, dtype=int)), TrainConfig())
 
 
+def test_labels_other_than_zero_and_one_rejected():
+    # -1/+1 (the usual SVM convention) once trained silently to a poor model
+    X, y = toy_1d_dataset()
+    for labels in (2 * y - 1, 0.5 * y, y + 1):
+        with pytest.raises(InvariantViolation, match="0 or 1"):
+            train((X, labels), TrainConfig(max_iters=5), mask=mask_from_names(["fa"]))
+    model = train((X, y.astype(float)), TrainConfig(max_iters=5), mask=mask_from_names(["fa"]))
+    assert model.weights[0] > 0
+
+
 def test_predict_score_affine_and_trivial_cases():
     X, y = synthetic_dataset()
     model = train((X, y), TrainConfig(), mask=FULL_MASK)
@@ -169,6 +179,17 @@ def test_gradient_matches_finite_differences():
             np.linalg.norm(grad), np.linalg.norm(numeric), 1e-8
         )
         assert rel < 1e-6
+
+
+def test_loss_matches_logaddexp_reference_without_fp_errors():
+    z = np.concatenate([np.linspace(-1000.0, 1000.0, 20001), np.linspace(-40.0, 40.0, 8001)])
+    rng = np.random.default_rng(3)
+    for y in (np.arange(len(z)) % 2, rng.integers(0, 2, len(z)), np.ones(len(z), dtype=int)):
+        with np.errstate(under="ignore"):  # the reference underflows past |z| = 708
+            expected = np.mean(np.logaddexp(0.0, z) - y * z)
+        with np.errstate(all="raise"):
+            loss, _ = logreg_loss_grad(np.array([1.0, 0.0]), z[:, None], y, 0.0)
+        assert loss == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_monotone_link():
