@@ -11,7 +11,6 @@ from .evaluate import (
     window_sweep,
 )
 from .features import (
-    DenominatorMode,
     DwtConfig,
     FeatureVector,
     HaarDecomposition,

@@ -8,6 +8,7 @@ Rates with zero denominators are reported as None, never as 0.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,18 +165,57 @@ def train_and_evaluate(
     return model, evaluate_model(model, X[tr], y[tr]), evaluate_model(model, X[te], y[te])
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_fits(fit, items) -> list:
+    """``[fit(item) for item in items]``, run on every CPU the process may use.
+
+    Items are dealt round-robin to the calling thread and to one helper
+    thread per further CPU; results come back in input order. Fits spend
+    their time in numpy, which releases the interpreter lock. The caller
+    works too: every extra thread gets its own malloc arena, which cannot
+    reuse memory freed by the others, so an idle caller would cost memory.
+    """
+    items = list(items)
+    workers = min(_available_cpus(), len(items))
+    if workers <= 1:
+        return [fit(item) for item in items]
+    # Imported here, not at the top: the import takes about 8 ms (it loads
+    # logging), and every `gripwatch detect` imports this module.
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * len(items)
+
+    def work(first):
+        for i in range(first, len(items), workers):
+            results[i] = fit(items[i])
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work, first) for first in range(1, workers)]
+        work(0)
+        for helper in helpers:
+            helper.result()
+    return results
+
+
 def window_sweep(
     episodes, n_w_values, train_config: TrainConfig, mask=DEFAULT_MASK, seed: int = 0
 ):
     """Re-extract, re-split, and retrain once per window size."""
-    rows = []
-    for n_w in n_w_values:
-        config = DwtConfig(n_w=n_w)
+    configs = [DwtConfig(n_w=n_w) for n_w in n_w_values]
+
+    def row(config):
         _, _, report = train_and_evaluate(
             episodes, config, train_config, mask=mask, seed=seed
         )
-        rows.append((n_w, report))
-    return rows
+        return config.n_w, report
+
+    return _map_fits(row, configs)
 
 
 # Ablation rows over the four feature groups (fa, ftip, m, sigma), full
@@ -215,17 +255,19 @@ def ablation_study(
     """Train one model per mask on identical splits; rows of (mask, report)."""
     train_config = train_config or TrainConfig()
     dwt_config = dwt_config or DwtConfig()
-    group_rows = masks if masks is not None else DEFAULT_ABLATION_GROUPS
+    group_rows = list(masks if masks is not None else DEFAULT_ABLATION_GROUPS)
+    feature_masks = [group_mask(groups) for groups in group_rows]
+    if not all(any(mask) for mask in feature_masks):
+        raise InvalidConfig("ablation mask keeps no features")
     X, y, _ = dataset_feature_matrix(episodes, dwt_config)
     tr, te = split_indices(len(y), 0.8, seed)
-    rows = []
-    for groups in group_rows:
-        mask = group_mask(groups)
-        if sum(mask) == 0:
-            raise InvalidConfig("ablation mask keeps no features")
-        model = train((X[tr], y[tr]), train_config, mask)
-        rows.append((tuple(groups), evaluate_model(model, X[te], y[te])))
-    return rows
+    train_set, X_test, y_test = (X[tr], y[tr]), X[te], y[te]
+
+    def fit(mask):
+        return evaluate_model(train(train_set, train_config, mask), X_test, y_test)
+
+    reports = _map_fits(fit, feature_masks)
+    return [(tuple(groups), report) for groups, report in zip(group_rows, reports)]
 
 
 @dataclass(frozen=True)

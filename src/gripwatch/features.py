@@ -9,7 +9,6 @@ approximations and sigma the standard deviation of the details.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,22 +21,9 @@ SQRT2 = float(np.sqrt(2.0))
 FEATURE_NAMES = ("fa", "fx", "fy", "fz", "m", "sigma")
 
 
-class DenominatorMode(enum.Enum):
-    """Denominator used when averaging the n_w/2 wavelet coefficients.
-
-    WINDOW_LENGTH divides sums by the full window length n_w (the default),
-    COEFFICIENT_COUNT divides by the actual number of coefficients n_w/2.
-    The two differ only by a constant factor of 2 (sqrt(2) for sigma).
-    """
-
-    WINDOW_LENGTH = "window_length"
-    COEFFICIENT_COUNT = "coefficient_count"
-
-
 @dataclass(frozen=True)
 class DwtConfig:
     n_w: int = 14
-    denominator_mode: DenominatorMode = DenominatorMode.WINDOW_LENGTH
 
     def __post_init__(self):
         if self.n_w < 2 or self.n_w % 2 != 0:
@@ -92,25 +78,17 @@ def haar_decompose(window, config: DwtConfig) -> HaarDecomposition:
 
 
 def compute_m(decomp: HaarDecomposition, config: DwtConfig) -> float:
-    """Moving average of the approximation coefficients."""
-    denom = _denominator(config)
-    return float(np.sum(decomp.approximations) / denom)
+    """Moving average of the approximation coefficients: their sum over n_w."""
+    return float(np.sum(decomp.approximations) / config.n_w)
 
 def compute_sigma(decomp: HaarDecomposition, config: DwtConfig) -> float:
     """Standard deviation of the detail coefficients.
 
-    The mean is always taken over the n_w/2 coefficients; only the outer
-    denominator follows ``denominator_mode``.
+    The mean is taken over the n_w/2 coefficients and the sum of squared
+    deviations is divided by the window length n_w.
     """
     d = decomp.details
-    denom = _denominator(config)
-    return float(np.sqrt(np.sum((d - d.mean()) ** 2) / denom))
-
-
-def _denominator(config: DwtConfig) -> float:
-    if config.denominator_mode is DenominatorMode.WINDOW_LENGTH:
-        return float(config.n_w)
-    return config.n_w / 2.0
+    return float(np.sqrt(np.sum((d - d.mean()) ** 2) / config.n_w))
 
 
 class StreamingExtractor:
@@ -191,9 +169,8 @@ def batch_features(t, f_tip, f_a, config: DwtConfig, labels=None):
     w = sliding_windows(f_a, n_w)
     a = (w[:, 0::2] + w[:, 1::2]) / SQRT2
     d = (w[:, 0::2] - w[:, 1::2]) / SQRT2
-    denom = _denominator(config)
-    m = a.sum(axis=1) / denom
-    sigma = np.sqrt(((d - d.mean(axis=1, keepdims=True)) ** 2).sum(axis=1) / denom)
+    m = a.sum(axis=1) / n_w
+    sigma = np.sqrt(((d - d.mean(axis=1, keepdims=True)) ** 2).sum(axis=1) / n_w)
     tail = slice(n_w - 1, None)
     X = np.column_stack([f_a[tail], np.asarray(f_tip)[tail], m, sigma])
     y = None if labels is None else np.asarray(labels, dtype=int)[tail]

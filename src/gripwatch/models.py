@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     EmptyDataset,
     InvariantViolation,
+    LengthMismatch,
     NonFiniteFeature,
     ParseError,
     SingleClassDataset,
@@ -117,7 +118,9 @@ def fit_standardizer(features, mask=FULL_MASK) -> Standardizer:
     X, _ = _as_matrix(features)
     if len(X) == 0:
         raise EmptyDataset("cannot standardize an empty feature set")
-    cols = X[:, np.asarray(mask, dtype=bool)] if X.shape[1] == len(mask) else X
+    if len(mask) != X.shape[1]:
+        raise InvariantViolation(f"mask has {len(mask)} entries for {X.shape[1]} columns")
+    cols = X[:, np.asarray(mask, dtype=bool)]
     means = cols.mean(axis=0)
     stds = cols.std(axis=0)
     zero = stds == 0
@@ -136,16 +139,31 @@ def logreg_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda:
     ``theta`` packs [w..., b]. Returns (loss, grad) with grad matching theta.
     """
     w, b = theta[:-1], theta[-1]
-    z = X @ w + b
-    # softplus(z) = log(1 + e^z) by the formula np.logaddexp(0, z) uses, but
-    # as whole-array exp and log1p, which are SIMD loops where logaddexp is a
-    # scalar one. The exponent is clamped at -708 so that exp cannot
-    # underflow; past |z| = 708 the log1p term is below 1e-307.
-    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.minimum(np.abs(z), 708.0)))
-    loss = float(np.mean(softplus - y * z) + 0.5 * l2_lambda * w @ w)
-    p = sigmoid(z)
-    residual = (p - y) / len(y)
-    grad = np.concatenate([X.T @ residual + l2_lambda * w, [residual.sum()]])
+    z = X @ w
+    z += b
+    # softplus(z) = log(1 + e^z) by the formula np.logaddexp(0, z) uses,
+    # max(z, 0) + log1p(e^-|z|), but as whole-array exp and log1p, which are
+    # SIMD loops where logaddexp is a scalar one. The exponent is clamped at
+    # -708 so that exp cannot underflow; past |z| = 708 the log1p term is
+    # below 1e-307. The steps run in place to spare temporaries; they are the
+    # same operations on the same operands as the one-line formula, so the
+    # loss and gradient are bit-identical to it.
+    t = np.abs(z)
+    np.minimum(t, 708.0, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t += np.maximum(z, 0.0)
+    t -= y * z
+    loss = float(np.mean(t) + 0.5 * l2_lambda * w @ w)
+    # z becomes the residual (sigmoid(z) - y) / n, sigmoid as in sigmoid()
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    z -= y
+    z /= len(y)
+    grad = np.concatenate([X.T @ z + l2_lambda * w, [z.sum()]])
     return loss, grad
 
 
@@ -211,6 +229,12 @@ def train(features, config: TrainConfig, mask=DEFAULT_MASK) -> LinearModel:
     if isinstance(features, tuple):
         X_full, y = features
         X_full = np.asarray(X_full, dtype=float)
+        if X_full.ndim != 2 or X_full.shape[1] != len(FEATURE_NAMES):
+            raise InvariantViolation(
+                f"features must be (n, {len(FEATURE_NAMES)}), got {X_full.shape}"
+            )
+        if np.shape(y) != (len(X_full),):
+            raise LengthMismatch(f"labels of shape {np.shape(y)} for {len(X_full)} feature rows")
     else:
         X_full, y = _as_matrix(features)
         if y is None:

@@ -129,7 +129,16 @@ def aggregate_series(frames, geometry: FingertipGeometry):
         )
     if not np.all(np.isfinite(taxels)):
         raise NonFiniteInput("taxel forces contain NaN/Inf")
-    f_tip = np.einsum("ijk,nik->nj", geometry.rotations, taxels)
+    # One flat (N, 3 n_s) x (3 n_s, 3) contraction, several times faster than
+    # the 3-index "ijk,nik->nj"; same products, and on the identity geometry
+    # the same sums. einsum, not @: BLAS would allocate its packing buffer
+    # and raise the process's peak memory.
+    n, n_s, _ = taxels.shape
+    f_tip = np.einsum(
+        "nm,mj->nj",
+        taxels.reshape(n, 3 * n_s),
+        geometry.rotations.transpose(0, 2, 1).reshape(3 * n_s, 3),
+    )
     f_a = np.linalg.norm(f_tip, axis=1)
     t = np.array([f.timestamp for f in frames])
     return t, f_tip, f_a

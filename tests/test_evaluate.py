@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +151,90 @@ def test_ablation_builtin_masks(small_dataset):
 def test_ablation_rejects_empty_mask(small_dataset):
     with pytest.raises(InvalidConfig):
         ablation_study(small_dataset, masks=[()], train_config=TrainConfig(max_iters=50))
+
+
+@pytest.fixture
+def recorded_fits(monkeypatch):
+    """Wrap evaluate.train; each fit appends (training rows, mask, weights and
+    bias bytes, thread id) to the returned list."""
+    fits, lock, real_train = [], threading.Lock(), evaluate.train
+
+    def recording_train(features, config, mask):
+        model = real_train(features, config, mask)
+        fitted = model.weights.tobytes() + np.float64(model.bias).tobytes()
+        with lock:
+            fits.append((len(features[0]), tuple(mask), fitted, threading.get_ident()))
+        return model
+
+    monkeypatch.setattr(evaluate, "train", recording_train)
+    return fits
+
+
+def with_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def fitted(fits):
+    return sorted(fit[:3] for fit in fits)
+
+
+def test_sweep_and_ablation_identical_on_one_and_three_cpus(
+    small_dataset, recorded_fits, monkeypatch
+):
+    config = TrainConfig(max_iters=100)
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to expose shared state
+    try:
+        for cpus in (1, 3):
+            with_cpus(monkeypatch, cpus)
+            recorded_fits.clear()
+            sweep = window_sweep(small_dataset, [4, 8, 14], config)
+            assert len({fit[3] for fit in recorded_fits}) == cpus
+            sweep_fits = fitted(recorded_fits)
+            recorded_fits.clear()
+            ablation = ablation_study(small_dataset, train_config=config)
+            assert len({fit[3] for fit in recorded_fits}) == cpus
+            assert [n_w for n_w, _ in sweep] == [4, 8, 14]
+            assert [groups for groups, _ in ablation] == DEFAULT_ABLATION_GROUPS
+            results[cpus] = sweep, ablation, sweep_fits, fitted(recorded_fits)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results[1][2]) == 3
+    assert len(results[1][3]) == len(DEFAULT_ABLATION_GROUPS)
+    assert results[1] == results[3]
+
+
+def test_cpu_count_fallback_without_affinity(small_dataset, recorded_fits, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rows = ablation_study(
+        small_dataset, masks=[("fa",), ("sigma",)], train_config=TrainConfig(max_iters=20)
+    )
+    assert [groups for groups, _ in rows] == [("fa",), ("sigma",)]
+    assert len({fit[3] for fit in recorded_fits}) == 2
+
+
+@pytest.mark.parametrize("position", [0, 5, 11])
+def test_ablation_rejects_empty_mask_before_any_fit(
+    small_dataset, recorded_fits, monkeypatch, position
+):
+    with_cpus(monkeypatch, 3)
+    masks = list(DEFAULT_ABLATION_GROUPS)
+    masks.insert(position, ())
+    with pytest.raises(InvalidConfig, match="keeps no features"):
+        ablation_study(small_dataset, masks=masks, train_config=TrainConfig(max_iters=50))
+    assert recorded_fits == []
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sweep_without_windows_raises_instead_of_partial_rows(
+    small_dataset, monkeypatch, cpus
+):
+    with_cpus(monkeypatch, cpus)
+    too_long = 2 * max(len(episode.frames) for episode in small_dataset)
+    with pytest.raises(EmptyDataset):
+        window_sweep(small_dataset, [4, too_long, 8], TrainConfig(max_iters=20))
 
 
 def test_group_mask_expansion():

@@ -12,7 +12,6 @@ from gripwatch.errors import (
     OutOfOrderTimestamp,
 )
 from gripwatch.features import (
-    DenominatorMode,
     DwtConfig,
     StreamingExtractor,
     batch_features,
@@ -32,17 +31,15 @@ windows = st.integers(1, 9).flatmap(
 )
 
 
-def brute_m(window, n_w, mode=DenominatorMode.WINDOW_LENGTH):
+def brute_m(window, n_w):
     a = [(window[2 * j] + window[2 * j + 1]) / SQRT2 for j in range(n_w // 2)]
-    denom = n_w if mode is DenominatorMode.WINDOW_LENGTH else n_w // 2
-    return sum(a) / denom
+    return sum(a) / n_w
 
 
-def brute_sigma(window, n_w, mode=DenominatorMode.WINDOW_LENGTH):
+def brute_sigma(window, n_w):
     d = [(window[2 * j] - window[2 * j + 1]) / SQRT2 for j in range(n_w // 2)]
     dbar = sum(d) / len(d)
-    denom = n_w if mode is DenominatorMode.WINDOW_LENGTH else n_w // 2
-    return math.sqrt(sum((v - dbar) ** 2 for v in d) / denom)
+    return math.sqrt(sum((v - dbar) ** 2 for v in d) / n_w)
 
 
 def samples_from(values):
@@ -87,9 +84,6 @@ def test_odd_n_w_rejected():
 def test_m_both_denominator_modes():
     decomp = haar_decompose([1, 1, 1, 1], DwtConfig(n_w=4))
     assert compute_m(decomp, DwtConfig(n_w=4)) == pytest.approx(SQRT2 / 2)
-    assert compute_m(
-        decomp, DwtConfig(n_w=4, denominator_mode=DenominatorMode.COEFFICIENT_COUNT)
-    ) == pytest.approx(SQRT2)
 
 
 def test_sigma_both_denominator_modes():
@@ -97,17 +91,13 @@ def test_sigma_both_denominator_modes():
     decomp = haar_decompose([1, -1, -1, 1], DwtConfig(n_w=4))
     assert np.allclose(decomp.details, [SQRT2, -SQRT2])
     assert compute_sigma(decomp, DwtConfig(n_w=4)) == pytest.approx(1.0)
-    assert compute_sigma(
-        decomp, DwtConfig(n_w=4, denominator_mode=DenominatorMode.COEFFICIENT_COUNT)
-    ) == pytest.approx(SQRT2)
 
 
 def test_constant_window_zero_sigma_and_m():
     decomp = haar_decompose([0.0] * 6, DwtConfig(n_w=6))
-    for mode in DenominatorMode:
-        cfg = DwtConfig(n_w=6, denominator_mode=mode)
-        assert compute_m(decomp, cfg) == 0.0
-        assert compute_sigma(decomp, cfg) == 0.0
+    cfg = DwtConfig(n_w=6)
+    assert compute_m(decomp, cfg) == 0.0
+    assert compute_sigma(decomp, cfg) == 0.0
 
 
 @settings(max_examples=200)

@@ -6,6 +6,7 @@ import pytest
 from gripwatch.errors import (
     EmptyDataset,
     InvariantViolation,
+    LengthMismatch,
     ParseError,
     SingleClassDataset,
     VersionMismatch,
@@ -72,6 +73,26 @@ def test_standardized_training_features_are_normalized():
 def test_standardizer_empty_dataset():
     with pytest.raises(EmptyDataset):
         fit_standardizer([])
+
+
+def test_standardizer_rejects_mask_of_another_width():
+    X, _ = synthetic_dataset()
+    for mask in ((True,) * 5, (True,) * 7):
+        with pytest.raises(InvariantViolation, match="mask has"):
+            fit_standardizer(X, mask=mask)
+
+
+def test_train_rejects_misshapen_inputs():
+    X, y = toy_1d_dataset()
+    config = TrainConfig(max_iters=5)
+    for bad in (X[:, :5], X[:, 0], np.hstack([X, X[:, :1]])):
+        with pytest.raises(InvariantViolation, match="features must be"):
+            train((bad, y), config)
+    for labels in (y[:-1], np.append(y, 1), y[:, None]):
+        with pytest.raises(LengthMismatch):
+            train((X, labels), config)
+    with pytest.raises(InvariantViolation, match="mask has"):
+        train((X, y), config, mask=(True,) * 5)
 
 
 def test_logreg_separable_boundary_near_zero():
@@ -190,6 +211,37 @@ def test_loss_matches_logaddexp_reference_without_fp_errors():
         with np.errstate(all="raise"):
             loss, _ = logreg_loss_grad(np.array([1.0, 0.0]), z[:, None], y, 0.0)
         assert loss == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def loss_grad_reference(theta, X, y, l2_lambda):
+    """The one-line formula the in-place logreg_loss_grad must reproduce bit for bit."""
+    w, b = theta[:-1], theta[-1]
+    z = X @ w + b
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.minimum(np.abs(z), 708.0)))
+    loss = float(np.mean(softplus - y * z) + 0.5 * l2_lambda * w @ w)
+    residual = (0.5 * (1.0 + np.tanh(0.5 * z)) - y) / len(y)
+    return loss, np.concatenate([X.T @ residual + l2_lambda * w, [residual.sum()]])
+
+
+def test_loss_grad_bitwise_equal_to_reference_and_inputs_untouched():
+    rng = np.random.default_rng(5)
+    line = np.linspace(-1000.0, 1000.0, 4001)[:, None]
+    cases = [(line, np.arange(len(line)) % 2, np.array([1.0, 0.0]))]
+    for _ in range(60):
+        X = rng.normal(size=(500, 4)) * rng.choice([0.1, 10.0, 300.0], size=4)
+        y = rng.integers(0, 2, len(X)).astype(float)
+        cases.append((X, y, rng.normal(scale=2.0, size=5)))
+    spans = []
+    for X, y, theta in cases:
+        saved = X.copy(), y.copy(), theta.copy()
+        loss, grad = logreg_loss_grad(theta, X, y, 1e-4)
+        ref_loss, ref_grad = loss_grad_reference(theta, X, y, 1e-4)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        for before, after in zip(saved, (X, y, theta)):
+            assert np.array_equal(before, after)
+        spans.append(np.abs(X @ theta[:-1] + theta[-1]).max())
+    assert max(spans) >= 1000.0
 
 
 def test_monotone_link():

@@ -107,6 +107,23 @@ def test_aggregate_series_matches_per_frame():
         assert np.allclose(f_tip[i], single.f_tip)
         assert f_a[i] == pytest.approx(single.f_a)
 
+    # The identity geometry (the study's) gives exactly the 3-index contraction.
+    taxels = rng.normal(scale=5.0, size=(50, 30, 3))
+    frames = [TaxelFrame(i * 0.1, "f", taxels[i]) for i in range(50)]
+    identity = FingertipGeometry.identity(30)
+    _, f_tip, _ = aggregate_series(frames, identity)
+    assert np.array_equal(f_tip, np.einsum("ijk,nik->nj", identity.rotations, taxels))
+
+    # Random rotations agree with it up to summation order.
+    q, r = np.linalg.qr(rng.normal(size=(30, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0] *= -1.0
+    rotated = FingertipGeometry(q)
+    assert validate_geometry(rotated) == []
+    _, f_tip, _ = aggregate_series(frames, rotated)
+    expected = np.einsum("ijk,nik->nj", rotated.rotations, taxels)
+    assert np.max(np.abs(f_tip - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 def test_validate_geometry_identity_is_clean():
     assert validate_geometry(FingertipGeometry.identity(5)) == []
