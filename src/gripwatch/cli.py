@@ -53,28 +53,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_features(path, features, n_w):
+def _write_features(path, rows, n_w):
+    """Write (t, X, y) feature rows, one JSON line per window."""
     with open(path, "w") as fh:
         fh.write(
             json.dumps({"format": FEATURES_FORMAT, "version": FEATURES_VERSION, "n_w": n_w})
             + "\n"
         )
-        for phi in features:
-            fh.write(
-                json.dumps(
-                    {
-                        "t": phi.timestamp,
-                        "fa": phi.f_a,
-                        "fx": phi.f_tip[0],
-                        "fy": phi.f_tip[1],
-                        "fz": phi.f_tip[2],
-                        "m": phi.m,
-                        "sigma": phi.sigma,
-                        "label": None if phi.label is None else int(phi.label),
-                    }
+        for t, X, y in rows:
+            for t_i, (fa, fx, fy, fz, m, sigma), label in zip(
+                t.tolist(), X.tolist(), y.tolist()
+            ):
+                fh.write(
+                    json.dumps(
+                        {
+                            "t": t_i,
+                            "fa": fa,
+                            "fx": fx,
+                            "fy": fy,
+                            "fz": fz,
+                            "m": m,
+                            "sigma": sigma,
+                            "label": label,
+                        }
+                    )
+                    + "\n"
                 )
-                + "\n"
-            )
 
 
 def _read_features(path):
@@ -119,24 +123,6 @@ def _load_dataset(directory):
     return [load_episode_log(p) for p in paths]
 
 
-def _episode_features(episode, config: DwtConfig):
-    X, y, _ = ev.episode_feature_matrix(episode, config)
-    t = np.array([f.timestamp for f in episode.frames])[config.n_w - 1 :]
-    out = []
-    for i in range(len(X)):
-        out.append(
-            FeatureVector(
-                timestamp=float(t[i]),
-                f_a=float(X[i, 0]),
-                f_tip=X[i, 1:4],
-                m=float(X[i, 4]),
-                sigma=float(X[i, 5]),
-                label=int(y[i]),
-            )
-        )
-    return out
-
-
 def _parse_masks(spec: str):
     if spec == "builtin":
         return None  # ablation_study default
@@ -166,11 +152,12 @@ def _cmd_extract(args):
     src = Path(getattr(args, "in"))
     config = DwtConfig(n_w=args.n_w)
     episodes = _load_dataset(src) if src.is_dir() else [load_episode_log(src)]
-    features = []
+    rows = []
     for episode in episodes:
-        features.extend(_episode_features(episode, config))
-    _write_features(args.out, features, args.n_w)
-    print(f"wrote {len(features)} feature vectors to {args.out}")
+        X, y, _ = ev.episode_feature_matrix(episode, config)
+        rows.append((episode.t[config.n_w - 1 :], X, y))
+    _write_features(args.out, rows, args.n_w)
+    print(f"wrote {sum(len(X) for _, X, _ in rows)} feature vectors to {args.out}")
     return 0
 
 

@@ -24,7 +24,6 @@ from .models import (
     predict_label_batch,
     train,
 )
-from .tactile import FingertipGeometry, aggregate_series
 
 
 @dataclass(frozen=True)
@@ -115,27 +114,24 @@ def split_dataset(items, ratio: float, seed: int):
 # --- episode-level pipeline helpers ---
 
 
-def episode_feature_matrix(
-    episode, config: DwtConfig, geometry: FingertipGeometry | None = None
-):
+def episode_feature_matrix(episode, config: DwtConfig):
     """Features, labels, and raw F_x series for one episode.
 
     Returns (X (N, 6), y (N), fx_windows_energy_input) where N is the number
     of emitted windows. F_x values are returned for the full series so the
-    energy baseline can window them identically.
+    energy baseline can window them identically. The forces come from the
+    episode's cached identity-geometry aggregation.
     """
-    if geometry is None:
-        geometry = FingertipGeometry.identity(episode.frames[0].n_s)
-    t, f_tip, f_a = aggregate_series(episode.frames, geometry)
-    X, y, _ = batch_features(t, f_tip, f_a, config, labels=episode.labels)
+    f_tip, f_a = episode.forces
+    X, y, _ = batch_features(episode.t, f_tip, f_a, config, labels=episode.labels)
     return X, y, f_tip[:, 0]
 
 
-def dataset_feature_matrix(episodes, config: DwtConfig, geometry=None):
+def dataset_feature_matrix(episodes, config: DwtConfig):
     """Pooled (X, y, fx_energy) over a dataset; fx_energy aligns row-for-row."""
     xs, ys, energies = [], [], []
     for episode in episodes:
-        X, y, fx = episode_feature_matrix(episode, config, geometry)
+        X, y, fx = episode_feature_matrix(episode, config)
         if len(X) == 0:
             continue
         xs.append(X)

@@ -10,6 +10,7 @@ transients, is labeled 0.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidConfig, InvariantViolation, ParseError
-from .tactile import DEFAULT_N_S, TaxelFrame
+from .tactile import DEFAULT_N_S, FingertipGeometry, TaxelFrame, aggregate_taxels
 
 EPISODE_FORMAT = "gripwatch-episode"
 EPISODE_VERSION = 1
@@ -87,16 +88,49 @@ class EpisodeConfig:
 
 @dataclass(frozen=True)
 class LabeledEpisode:
-    frames: list
+    """One fingertip's labeled series, held as read-only arrays.
+
+    ``t`` (N,) timestamps, ``taxels`` (N, n_s, 3) raw taxel forces and
+    ``labels`` (N,) 0/1 stability labels, one row per sample.
+    """
+
+    t: np.ndarray
+    taxels: np.ndarray
     labels: np.ndarray
+    fingertip_id: str
     metadata: EpisodeConfig | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
-        if len(self.frames) != len(self.labels):
+        for name, dtype in (("t", float), ("taxels", float), ("labels", int)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        if self.taxels.ndim != 3 or self.taxels.shape[2] != 3:
+            raise InvariantViolation(f"taxels must be (N, n_s, 3), got {self.taxels.shape}")
+        if self.t.shape != (len(self.taxels),) or self.labels.shape != self.t.shape:
             raise InvariantViolation(
-                f"{len(self.frames)} frames but {len(self.labels)} labels"
+                f"{len(self.taxels)} taxel rows, {self.t.shape} timestamps, "
+                f"{self.labels.shape} labels"
             )
+
+    @property
+    def frames(self) -> list:
+        """The samples as TaxelFrame objects, built anew on every access."""
+        return [
+            TaxelFrame(t, self.fingertip_id, taxels, label=label)
+            for t, taxels, label in zip(self.t.tolist(), self.taxels, self.labels.tolist())
+        ]
+
+    @functools.cached_property
+    def forces(self) -> tuple:
+        """Read-only (f_tip (N, 3), f_a (N)) through the identity geometry,
+        aggregated on first use."""
+        f_tip, f_a = aggregate_taxels(
+            self.taxels, FingertipGeometry.identity(self.taxels.shape[1])
+        )
+        f_tip.setflags(write=False)
+        f_a.setflags(write=False)
+        return f_tip, f_a
 
 
 def _sample_index(t_seconds: float, rate: float) -> int:
@@ -172,11 +206,8 @@ def generate_episode(config: EpisodeConfig) -> LabeledEpisode:
     if config.noise_std > 0:
         taxels += rng.normal(0.0, config.noise_std, size=taxels.shape)
 
-    frames = [
-        TaxelFrame(i / rate, config.fingertip_id, taxels[i], label=int(labels[i]))
-        for i in range(n)
-    ]
-    return LabeledEpisode(frames, labels, metadata=config)
+    t = np.arange(n) / rate
+    return LabeledEpisode(t, taxels, labels, config.fingertip_id, metadata=config)
 
 
 def _direction(mode: str, rng) -> np.ndarray:
@@ -243,20 +274,22 @@ def _config_from_dict(payload: dict) -> EpisodeConfig:
 
 def save_episode_log(episode: LabeledEpisode, path) -> None:
     header = {"format": EPISODE_FORMAT, "version": EPISODE_VERSION}
-    if episode.frames:
-        header["n_s"] = episode.frames[0].n_s
+    if len(episode.t):
+        header["n_s"] = episode.taxels.shape[1]
     if episode.metadata is not None:
         header["config"] = _config_to_dict(episode.metadata)
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for frame, label in zip(episode.frames, episode.labels):
+        for t, taxels, label in zip(
+            episode.t.tolist(), episode.taxels, episode.labels.tolist()
+        ):
             fh.write(
                 json.dumps(
                     {
-                        "t": frame.timestamp,
-                        "fingertip": frame.fingertip_id,
-                        "taxels": frame.taxels.tolist(),
-                        "label": int(label),
+                        "t": t,
+                        "fingertip": episode.fingertip_id,
+                        "taxels": taxels.tolist(),
+                        "label": label,
                     }
                 )
                 + "\n"
@@ -265,8 +298,8 @@ def save_episode_log(episode: LabeledEpisode, path) -> None:
 
 def load_episode_log(path) -> LabeledEpisode:
     """Parse an episode log, reporting the offending line on failure."""
-    frames = []
-    labels = []
+    ts, taxel_rows, labels = [], [], []
+    fingertip_id = None
     metadata = None
     n_s = None
     with open(path) as fh:
@@ -307,19 +340,28 @@ def load_episode_log(path) -> LabeledEpisode:
                     f"taxels must be an n_s x 3 array, got shape {taxels.shape}",
                     line=lineno,
                 )
-            if n_s is not None and taxels.shape[0] != n_s:
+            if n_s is None:
+                n_s = taxels.shape[0]
+            elif taxels.shape[0] != n_s:
                 raise ParseError(
                     f"expected {n_s} taxel readings, found {taxels.shape[0]}",
                     line=lineno,
                 )
             if label not in (0, 1):
                 raise ParseError(f"label must be 0 or 1, got {label}", line=lineno)
-            if frames and t < frames[-1].timestamp:
+            if fingertip_id is None:
+                fingertip_id = fingertip
+            elif fingertip != fingertip_id:
                 raise ParseError(
-                    f"timestamp {t} decreases below {frames[-1].timestamp}", line=lineno
+                    f"fingertip {fingertip!r} differs from {fingertip_id!r}", line=lineno
                 )
-            frames.append(TaxelFrame(t, fingertip, taxels, label=label))
+            if ts and t < ts[-1]:
+                raise ParseError(f"timestamp {t} decreases below {ts[-1]}", line=lineno)
+            ts.append(t)
+            taxel_rows.append(taxels)
             labels.append(label)
-    if not frames:
+    if not ts:
         raise ParseError("no frames")
-    return LabeledEpisode(frames, np.array(labels), metadata=metadata)
+    return LabeledEpisode(
+        np.array(ts), np.stack(taxel_rows), np.array(labels), fingertip_id, metadata=metadata
+    )

@@ -115,17 +115,14 @@ def aggregate_tip_force(frame: TaxelFrame, geometry: FingertipGeometry) -> Force
     return ForceSample(frame.timestamp, f_tip, float(np.linalg.norm(f_tip)))
 
 
-def aggregate_series(frames, geometry: FingertipGeometry):
-    """Vectorized aggregation of a frame sequence.
+def aggregate_taxels(taxels: np.ndarray, geometry: FingertipGeometry):
+    """Vectorized aggregation of an (N, n_s, 3) taxel array.
 
-    Returns (timestamps, f_tip (N, 3), f_a (N)) arrays in stream order.
+    Returns (f_tip (N, 3), f_a (N)) arrays, one row per sample.
     """
-    if not frames:
-        return np.empty(0), np.empty((0, 3)), np.empty(0)
-    taxels = np.stack([f.taxels for f in frames])  # (N, n_s, 3)
     if taxels.shape[1] != geometry.n_s:
         raise LengthMismatch(
-            f"frames have {taxels.shape[1]} taxels, geometry has {geometry.n_s}"
+            f"samples have {taxels.shape[1]} taxels, geometry has {geometry.n_s}"
         )
     if not np.all(np.isfinite(taxels)):
         raise NonFiniteInput("taxel forces contain NaN/Inf")
@@ -139,9 +136,18 @@ def aggregate_series(frames, geometry: FingertipGeometry):
         taxels.reshape(n, 3 * n_s),
         geometry.rotations.transpose(0, 2, 1).reshape(3 * n_s, 3),
     )
-    f_a = np.linalg.norm(f_tip, axis=1)
-    t = np.array([f.timestamp for f in frames])
-    return t, f_tip, f_a
+    return f_tip, np.linalg.norm(f_tip, axis=1)
+
+
+def aggregate_series(frames, geometry: FingertipGeometry):
+    """Vectorized aggregation of a frame sequence.
+
+    Returns (timestamps, f_tip (N, 3), f_a (N)) arrays in stream order.
+    """
+    if not frames:
+        return np.empty(0), np.empty((0, 3)), np.empty(0)
+    f_tip, f_a = aggregate_taxels(np.stack([f.taxels for f in frames]), geometry)
+    return np.array([f.timestamp for f in frames]), f_tip, f_a
 
 
 def save_geometry(geometry: FingertipGeometry, path) -> None:

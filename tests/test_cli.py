@@ -127,7 +127,8 @@ def test_detect_on_episode_file(workspace, capsys):
     )
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    n_frames = sum(1 for _ in open(episode)) - 1  # header line
+    with open(episode) as fh:
+        n_frames = sum(1 for _ in fh) - 1  # header line
     assert len(lines) == n_frames - 13
     states = {json.loads(l)["state"] for l in lines}
     assert states <= {"no_contact", "stable", "unstable"}

@@ -1,21 +1,24 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gripwatch.errors import InvalidConfig, ParseError
-from gripwatch.evaluate import episode_feature_matrix
+from gripwatch.errors import InvalidConfig, InvariantViolation, NonFiniteInput, ParseError
+from gripwatch.evaluate import dataset_feature_matrix, episode_feature_matrix
 from gripwatch.features import DwtConfig
 from gripwatch.simulate import (
     DisturbanceConfig,
     EpisodeConfig,
+    LabeledEpisode,
     PhaseDurations,
     generate_dataset,
     generate_episode,
     load_episode_log,
     save_episode_log,
 )
+from gripwatch.tactile import FingertipGeometry, TaxelFrame, aggregate_series
 
 QUIET = EpisodeConfig(
     seed=5,
@@ -149,6 +152,10 @@ def test_episode_log_round_trip(tmp_path):
     assert loaded.metadata == ep.metadata
     for a, b in zip(loaded.frames, ep.frames):
         assert frames_equal(a, b)  # repr round-trip keeps floats exact
+    assert np.array_equal(loaded.t, ep.t)
+    assert np.array_equal(loaded.taxels, ep.taxels)
+    assert loaded.labels.dtype == ep.labels.dtype
+    assert loaded.fingertip_id == ep.fingertip_id
 
 
 def test_episode_log_reports_line_of_bad_frame(tmp_path):
@@ -172,3 +179,117 @@ def test_episode_log_bad_header(tmp_path):
     path.write_text('{"format": "something-else", "version": 1}\n')
     with pytest.raises(ParseError, match="line 1"):
         load_episode_log(path)
+
+
+SHORT = EpisodeConfig(
+    seed=11,
+    sample_rate_hz=37.0,
+    phase_durations=PhaseDurations(0.5, 0.2, 2.0, 1.0, 0.2),
+    disturbance=DisturbanceConfig(count=2, duration_s=0.3),
+    fingertip_id="ft3",
+)
+
+
+def test_frames_match_per_frame_construction():
+    ep = generate_episode(SHORT)
+    n = len(ep.labels)
+    # The per-frame construction episodes were once generated with.
+    reference = [
+        TaxelFrame(i / SHORT.sample_rate_hz, "ft3", ep.taxels[i], label=int(ep.labels[i]))
+        for i in range(n)
+    ]
+    frames = ep.frames
+    assert len(frames) == n == ep.t.shape[0] == ep.taxels.shape[0]
+    for got, want in zip(frames, reference):
+        assert type(got.timestamp) is float and got.timestamp == want.timestamp
+        assert got.fingertip_id == want.fingertip_id
+        assert np.array_equal(got.taxels, want.taxels)
+        assert type(got.label) is int and got.label == want.label
+    assert ep.frames is not frames  # built on demand, not held
+
+
+def test_cached_forces_bitwise_equal_to_aggregate_series():
+    ep = generate_episode(SHORT)
+    f_tip, f_a = ep.forces
+    t, ref_tip, ref_a = aggregate_series(ep.frames, FingertipGeometry.identity(SHORT.n_s))
+    assert np.array_equal(t, ep.t)
+    assert f_tip.tobytes() == ref_tip.tobytes()
+    assert f_a.tobytes() == ref_a.tobytes()
+    assert ep.forces[0] is f_tip  # aggregated once
+
+
+def test_episode_arrays_are_read_only():
+    ep = generate_episode(SHORT)
+    for array in (ep.t, ep.taxels, ep.labels, *ep.forces):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_episode_rejects_misshapen_arrays():
+    t, taxels, labels = np.zeros(3), np.zeros((3, 2, 3)), np.zeros(3, dtype=int)
+    LabeledEpisode(t, taxels, labels, "f")
+    for bad in (
+        (np.zeros(2), taxels, labels),
+        (t, taxels, np.zeros(4, dtype=int)),
+        (t, np.zeros((2, 2, 3)), labels),
+        (np.zeros((3, 1)), taxels, labels),
+        (t, np.zeros((3, 6)), labels),
+        (t, np.zeros((3, 2, 2)), labels),
+    ):
+        with pytest.raises(InvariantViolation):
+            LabeledEpisode(*bad, "f")
+
+
+def test_nan_taxel_raises_through_the_force_cache():
+    ep = generate_episode(SHORT)
+    taxels = ep.taxels.copy()
+    taxels[5, 0, 1] = np.nan
+    bad = LabeledEpisode(ep.t, taxels, ep.labels, ep.fingertip_id)
+    dataset_feature_matrix([ep], DwtConfig())
+    for _ in range(2):  # a failed aggregation is not cached
+        with pytest.raises(NonFiniteInput):
+            dataset_feature_matrix([ep, bad], DwtConfig())
+
+
+def _frame_line(fingertip, t=0.0):
+    return json.dumps({"t": t, "fingertip": fingertip, "taxels": [[1, 0, 0]], "label": 0})
+
+
+def test_episode_log_rejects_mixed_fingertips(tmp_path):
+    path = tmp_path / "mixed.jsonl"
+    header = json.dumps({"format": "gripwatch-episode", "version": 1, "n_s": 1})
+    lines = [header, _frame_line("a"), _frame_line("a", 0.1), _frame_line("b", 0.2)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 4.*'b'"):
+        load_episode_log(path)
+
+
+def test_episode_log_without_n_s_rejects_changing_taxel_count(tmp_path):
+    path = tmp_path / "ragged.jsonl"
+    header = json.dumps({"format": "gripwatch-episode", "version": 1})
+    wide = json.dumps({"t": 0.1, "fingertip": "a", "taxels": [[1, 0, 0], [0, 1, 0]], "label": 0})
+    path.write_text("\n".join([header, _frame_line("a"), wide]) + "\n")
+    with pytest.raises(ParseError, match="line 3"):
+        load_episode_log(path)
+
+
+def test_episode_log_bytes_match_per_frame_writer(tmp_path):
+    ep = generate_episode(SHORT)
+    path = tmp_path / "ep.jsonl"
+    save_episode_log(ep, path)
+    # The writer that went frame by frame, kept as the reference.
+    header = {"format": "gripwatch-episode", "version": 1, "n_s": ep.frames[0].n_s}
+    header["config"] = dataclasses.asdict(ep.metadata)
+    lines = [json.dumps(header)]
+    for frame, label in zip(ep.frames, ep.labels):
+        lines.append(
+            json.dumps(
+                {
+                    "t": frame.timestamp,
+                    "fingertip": frame.fingertip_id,
+                    "taxels": frame.taxels.tolist(),
+                    "label": int(label),
+                }
+            )
+        )
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
