@@ -12,11 +12,8 @@ from .evaluate import (
 )
 from .features import (
     DwtConfig,
-    FeatureVector,
-    HaarDecomposition,
     StreamingExtractor,
-    compute_m,
-    compute_sigma,
+    batch_features,
     extract_stream,
     haar_decompose,
 )
@@ -26,9 +23,7 @@ from .models import (
     TrainConfig,
     fit_standardizer,
     load_model,
-    predict_label,
-    predict_proba,
-    predict_score,
+    predict_score_batch,
     save_model,
     train,
 )
@@ -46,6 +41,7 @@ from .tactile import (
     FingertipGeometry,
     ForceSample,
     TaxelFrame,
+    aggregate_taxels,
     aggregate_tip_force,
     load_geometry,
     save_geometry,

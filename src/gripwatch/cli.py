@@ -29,7 +29,7 @@ import numpy as np
 from . import evaluate as ev
 from .detect import MultiFingerDetector
 from .errors import GripwatchError, ParseError
-from .features import DwtConfig, FeatureVector
+from .features import FEATURE_NAMES, DwtConfig
 from .models import (
     DEFAULT_MASK,
     TrainConfig,
@@ -82,7 +82,9 @@ def _write_features(path, rows, n_w):
 
 
 def _read_features(path):
-    features = []
+    """A labeled feature file as (X (n, 6), y (n)) arrays; labels are kept as
+    read, so that a label other than 0 or 1 reaches the label check."""
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -93,27 +95,19 @@ def _read_features(path):
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if lineno == 1:
-                if record.get("format") != FEATURES_FORMAT:
+                if not isinstance(record, dict) or record.get("format") != FEATURES_FORMAT:
                     raise ParseError(f"not a {FEATURES_FORMAT} file", line=lineno)
                 continue
             try:
-                features.append(
-                    FeatureVector(
-                        timestamp=float(record["t"]),
-                        f_a=float(record["fa"]),
-                        f_tip=np.array(
-                            [record["fx"], record["fy"], record["fz"]], dtype=float
-                        ),
-                        m=float(record["m"]),
-                        sigma=float(record["sigma"]),
-                        label=None if record.get("label") is None else int(record["label"]),
-                    )
-                )
+                if record["label"] is None:
+                    raise ParseError("unlabeled features", line=lineno)
+                rows.append([float(record[key]) for key in ("t", *FEATURE_NAMES, "label")])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad feature record: {exc}", line=lineno) from exc
-    if not features:
+    if not rows:
         raise ParseError("no feature rows")
-    return features
+    table = np.array(rows)
+    return table[:, 1:-1], table[:, -1]
 
 
 def _load_dataset(directory):
@@ -163,8 +157,6 @@ def _cmd_extract(args):
 
 def _cmd_train(args):
     features = _read_features(args.features)
-    if any(phi.label is None for phi in features):
-        raise ParseError("unlabeled features")
     mask = mask_from_names(args.mask.split(",")) if args.mask else DEFAULT_MASK
     grid = tuple(float(v) for v in args.grid.split(",")) if args.grid else None
     config = TrainConfig(kind=args.kind, l2_lambda=args.l2, seed=args.seed, hyper_grid=grid)
@@ -176,11 +168,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     model = load_model(args.model)
-    features = _read_features(args.features)
-    if any(phi.label is None for phi in features):
-        raise ParseError("unlabeled features")
-    X = np.stack([phi.as_array() for phi in features])
-    y = np.array([phi.label for phi in features])
+    X, y = _read_features(args.features)
     report = ev.evaluate_model(model, X, y)
     print(ev.format_report(report))
     if args.report:

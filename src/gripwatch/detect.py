@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonFiniteInput
 from .features import DwtConfig, StreamingExtractor
-from .models import LinearModel, predict_score, sigmoid
+from .models import LinearModel, predict_score_batch, sigmoid
 from .tactile import FingertipGeometry, TaxelFrame, aggregate_tip_force
 
 NO_CONTACT = "no_contact"
@@ -54,7 +54,7 @@ class FingertipDetector:
         self.dwt_config = dwt_config or DwtConfig()
         self.tau = tau
         self._extractor = StreamingExtractor(self.dwt_config)
-        self._pending = []  # (feature, f_a) held back while tau is calibrating
+        self._pending = []  # (timestamp, fingertip, row) held back while tau calibrates
         self._calibration = [] if tau is None else None
 
     def process(self, frame: TaxelFrame) -> list[Detection]:
@@ -68,19 +68,19 @@ class FingertipDetector:
         if not math.isfinite(frame.timestamp):
             raise NonFiniteInput(f"non-finite timestamp {frame.timestamp}")
         sample = aggregate_tip_force(frame, self.geometry)
-        phi = self._extractor.push(sample)
+        row = self._extractor.push(sample)
 
         if self._calibration is not None:
             self._calibration.append(sample.f_a)
-            if phi is not None:
-                self._pending.append((frame.fingertip_id, phi))
+            if row is not None:
+                self._pending.append((frame.timestamp, frame.fingertip_id, row))
             if len(self._calibration) < TAU_CALIBRATION_FRAMES:
                 return []
             return self._calibrate()
 
-        if phi is None:
+        if row is None:
             return []
-        return [self._classify(frame.fingertip_id, phi)]
+        return [self._classify(frame.timestamp, frame.fingertip_id, row)]
 
     def finish(self) -> list[Detection]:
         """End of stream: if tau is still calibrating, calibrate it from the
@@ -93,17 +93,19 @@ class FingertipDetector:
         noise_std = float(np.std(self._calibration))
         self.tau = max(TAU_NOISE_MULTIPLIER * noise_std, TAU_FLOOR)
         self._calibration = None
-        out = [self._classify(fid, p) for fid, p in self._pending]
+        out = [self._classify(*pending) for pending in self._pending]
         self._pending = []
         return out
 
-    def _classify(self, fingertip_id: str, phi) -> Detection:
-        if phi.f_a < self.tau:
-            return Detection(phi.timestamp, fingertip_id, NO_CONTACT, None, phi.sigma)
-        score = predict_score(self.model, phi)
+    def _classify(self, timestamp: float, fingertip_id: str, row: np.ndarray) -> Detection:
+        """One detection from a feature row in FEATURE_NAMES layout."""
+        sigma = float(row[5])
+        if row[0] < self.tau:
+            return Detection(timestamp, fingertip_id, NO_CONTACT, None, sigma)
+        score = float(predict_score_batch(self.model, row[None])[0])
         state = STABLE if score > 0.0 else UNSTABLE
         p = float(sigmoid(score)) if self.model.kind == "logreg" else None
-        return Detection(phi.timestamp, fingertip_id, state, p, phi.sigma)
+        return Detection(timestamp, fingertip_id, state, p, sigma)
 
 
 class MultiFingerDetector:

@@ -51,7 +51,3 @@ class SingleClassDataset(GripwatchError):
 
 class NonFiniteFeature(GripwatchError):
     pass
-
-
-class WrongModelKind(GripwatchError):
-    pass

@@ -22,9 +22,8 @@ from .errors import (
     ParseError,
     SingleClassDataset,
     VersionMismatch,
-    WrongModelKind,
 )
-from .features import FEATURE_NAMES, FeatureVector
+from .features import FEATURE_NAMES
 
 MODEL_FORMAT = "gripwatch-model"
 MODEL_VERSION = 1
@@ -91,18 +90,6 @@ class LinearModel:
             )
 
 
-def _as_matrix(features) -> tuple[np.ndarray, np.ndarray | None]:
-    if isinstance(features, np.ndarray):
-        return features, None
-    features = list(features)
-    if not features:
-        return np.empty((0, len(FEATURE_NAMES))), None
-    X = np.stack([phi.as_array() for phi in features])
-    labels = [phi.label for phi in features]
-    y = None if any(l is None for l in labels) else np.asarray(labels, dtype=int)
-    return X, y
-
-
 def check_binary_labels(labels, what: str) -> np.ndarray:
     """Labels as an int array; anything but 0 (unstable) or 1 (stable) raises."""
     labels = np.asarray(labels)
@@ -113,9 +100,8 @@ def check_binary_labels(labels, what: str) -> np.ndarray:
     return labels.astype(int)
 
 
-def fit_standardizer(features, mask=FULL_MASK) -> Standardizer:
+def fit_standardizer(X: np.ndarray, mask=FULL_MASK) -> Standardizer:
     """Per-column mean and population std over the masked feature matrix."""
-    X, _ = _as_matrix(features)
     if len(X) == 0:
         raise EmptyDataset("cannot standardize an empty feature set")
     if len(mask) != X.shape[1]:
@@ -223,22 +209,16 @@ def _train_svm(X, y, config: TrainConfig):
 def train(features, config: TrainConfig, mask=DEFAULT_MASK) -> LinearModel:
     """Fit a standardizer and a linear model on labeled features.
 
-    ``features`` is either a list of labeled FeatureVector or a raw (X, y)
-    pair with X in the 6-column layout.
+    ``features`` is an (X, y) pair with X in the 6-column layout.
     """
-    if isinstance(features, tuple):
-        X_full, y = features
-        X_full = np.asarray(X_full, dtype=float)
-        if X_full.ndim != 2 or X_full.shape[1] != len(FEATURE_NAMES):
-            raise InvariantViolation(
-                f"features must be (n, {len(FEATURE_NAMES)}), got {X_full.shape}"
-            )
-        if np.shape(y) != (len(X_full),):
-            raise LengthMismatch(f"labels of shape {np.shape(y)} for {len(X_full)} feature rows")
-    else:
-        X_full, y = _as_matrix(features)
-        if y is None:
-            raise EmptyDataset("unlabeled features")
+    X_full, y = features
+    X_full = np.asarray(X_full, dtype=float)
+    if X_full.ndim != 2 or X_full.shape[1] != len(FEATURE_NAMES):
+        raise InvariantViolation(
+            f"features must be (n, {len(FEATURE_NAMES)}), got {X_full.shape}"
+        )
+    if np.shape(y) != (len(X_full),):
+        raise LengthMismatch(f"labels of shape {np.shape(y)} for {len(X_full)} feature rows")
     if len(X_full) == 0:
         raise EmptyDataset("no training examples")
     y = check_binary_labels(y, "training labels")
@@ -287,39 +267,16 @@ def _grid_search(X, y, config: TrainConfig, mask) -> float:
     return best_lambda if best_lambda is not None else config.l2_lambda
 
 
-def _feature_row(model: LinearModel, phi) -> np.ndarray:
-    row = phi.as_array() if isinstance(phi, FeatureVector) else np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(row)):
-        raise NonFiniteFeature("feature vector contains NaN/Inf")
-    return row[np.asarray(model.feature_mask, dtype=bool)]
-
-
-def predict_score(model: LinearModel, phi) -> float:
-    """Linear decision value w.standardize(phi) + b."""
-    z = model.standardizer.transform(_feature_row(model, phi))
-    return float(model.weights @ z + model.bias)
-
-
-def predict_proba(model: LinearModel, phi) -> float:
-    """Probability of the stable class; logistic regression only."""
-    if model.kind != "logreg":
-        raise WrongModelKind(f"predict_proba needs a logreg model, got {model.kind!r}")
-    return float(sigmoid(predict_score(model, phi)))
-
-
-def predict_label(model: LinearModel, phi) -> int:
-    """1 = stable, 0 = unstable; a tie (score exactly 0) predicts unstable."""
-    return int(predict_score(model, phi) > 0.0)
-
-
 def predict_score_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """Linear decision value w.standardize(x) + b of each row of X."""
     cols = np.asarray(X, dtype=float)[:, np.asarray(model.feature_mask, dtype=bool)]
-    if not np.all(np.isfinite(cols)):
+    if not np.isfinite(cols).all():
         raise NonFiniteFeature("feature matrix contains NaN/Inf")
     return model.standardizer.transform(cols) @ model.weights + model.bias
 
 
 def predict_label_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """1 = stable, 0 = unstable; a tie (score exactly 0) predicts unstable."""
     return (predict_score_batch(model, X) > 0.0).astype(int)
 
 
@@ -360,7 +317,7 @@ def load_model(path) -> LinearModel:
             payload = json.load(fh)
     except (json.JSONDecodeError, OSError) as exc:
         raise ParseError(f"cannot read model file: {exc}") from exc
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ParseError(f"not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
         raise VersionMismatch(f"unsupported model version {payload.get('version')!r}")

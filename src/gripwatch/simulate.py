@@ -312,6 +312,8 @@ def load_episode_log(path) -> LabeledEpisode:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if lineno == 1:
+                if not isinstance(record, dict):
+                    raise ParseError("header is not a JSON object", line=lineno)
                 if record.get("format") != EPISODE_FORMAT:
                     raise ParseError(
                         f"expected format {EPISODE_FORMAT!r}, got {record.get('format')!r}",

@@ -307,18 +307,34 @@ def test_train_rejects_unlabeled_features(workspace, tmp_path, capsys):
 def test_labels_other_than_zero_and_one_are_data_errors(workspace, tmp_path, capsys):
     signed = tmp_path / "signed.jsonl"
     lines = (workspace / "features.jsonl").read_text().splitlines()
-    rows = [json.loads(l) for l in lines[1:]]
-    for row in rows:
-        row["label"] = 2 * row["label"] - 1
-    signed.write_text("\n".join([lines[0]] + [json.dumps(r) for r in rows]) + "\n")
-    argvs = (
-        ["train", "--features", str(signed), "--out", str(tmp_path / "m.json")],
-        ["eval", "--model", str(workspace / "model.json"), "--features", str(signed)],
-    )
-    for argv in argvs:
-        assert main(argv) == 2
-        assert "error: InvariantViolation: " in capsys.readouterr().err
-    assert not (tmp_path / "m.json").exists()
+    # -1/+1, and 0.5/1.9, which int() would round to 0/1
+    for relabel in (lambda y: 2 * y - 1, lambda y: 0.5 + 1.4 * y):
+        rows = [json.loads(l) for l in lines[1:]]
+        for row in rows:
+            row["label"] = relabel(row["label"])
+        signed.write_text("\n".join([lines[0]] + [json.dumps(r) for r in rows]) + "\n")
+        argvs = (
+            ["train", "--features", str(signed), "--out", str(tmp_path / "m.json")],
+            ["eval", "--model", str(workspace / "model.json"), "--features", str(signed)],
+        )
+        for argv in argvs:
+            assert main(argv) == 2
+            assert "error: InvariantViolation: " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval --model", "train --features", "extract --in"])
+def test_json_that_is_not_an_object_is_a_parse_error(workspace, tmp_path, capsys, command):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("[1, 2]\n")
+    argvs = {
+        "eval --model": ["eval", "--model", str(bad), "--features", str(workspace / "features.jsonl")],
+        "train --features": ["train", "--features", str(bad), "--out", str(tmp_path / "m.json")],
+        "extract --in": ["extract", "--in", str(bad), "--out", str(tmp_path / "f.jsonl")],
+    }
+    assert main(argvs[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code():

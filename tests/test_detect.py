@@ -9,12 +9,19 @@ from gripwatch.detect import (
     MultiFingerDetector,
     detect_stream,
 )
-from gripwatch.errors import NonFiniteInput, OutOfOrderTimestamp
-from gripwatch.features import DwtConfig
-from gripwatch.models import DEFAULT_MASK, LinearModel, Standardizer, TrainConfig, train
+from gripwatch.errors import GripwatchError, NonFiniteInput, OutOfOrderTimestamp
+from gripwatch.features import DwtConfig, batch_features
+from gripwatch.models import (
+    DEFAULT_MASK,
+    LinearModel,
+    Standardizer,
+    TrainConfig,
+    predict_score_batch,
+    train,
+)
 from gripwatch.simulate import DisturbanceConfig, EpisodeConfig, PhaseDurations, generate_dataset
 from gripwatch.evaluate import dataset_feature_matrix
-from gripwatch.tactile import FingertipGeometry, TaxelFrame
+from gripwatch.tactile import FingertipGeometry, TaxelFrame, aggregate_series
 
 N_S = 6
 
@@ -176,3 +183,45 @@ def test_state_and_probability_follow_one_score(geometry):
     frames = [TaxelFrame(i / 150.0, "ft0", np.ones((N_S, 3))) for i in range(14)]
     [d] = list(detect_stream(frames, tiny, geometry, tau=0.0))
     assert (d.state, d.p_stable) == (STABLE, 0.5)
+
+
+@pytest.mark.parametrize("tau", [0.5, None])
+def test_detector_computes_what_the_batch_path_computes(model, geometry, episodes, tau):
+    ep = episodes[0]
+    detector = FingertipDetector(model, geometry, tau=tau)
+    out = [d for f in ep.frames for d in detector.process(f)] + detector.finish()
+    t, f_tip, f_a = aggregate_series(ep.frames, geometry)
+    X, _, t_out = batch_features(t, f_tip, f_a, DwtConfig())
+    scores = predict_score_batch(model, X)
+    assert [d.timestamp for d in out] == t_out.tolist()
+    assert [d.sigma for d in out] == X[:, 5].tolist()
+    contact = X[:, 0] >= detector.tau
+    assert [d.state != NO_CONTACT for d in out] == contact.tolist()
+    assert 0 < contact.sum() < len(out)
+    states = np.where(scores > 0, STABLE, UNSTABLE)
+    assert [d.state for d in out if d.state != NO_CONTACT] == states[contact].tolist()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_rejected_frames_leave_the_detector_unchanged(model, geometry, episodes):
+    frames = episodes[0].frames[:80]
+    clean = FingertipDetector(model, geometry)
+    noisy = FingertipDetector(model, geometry)
+    big = np.zeros((N_S, 3))
+    big[0, 2] = 1e200  # finite taxels whose force amplitude overflows
+    expected, got = [], []
+    for i, frame in enumerate(frames):
+        expected += clean.process(frame)
+        if i:
+            bad = (
+                TaxelFrame(frame.timestamp - 1.0, "ft0", frame.taxels),
+                TaxelFrame(float("nan"), "ft0", frame.taxels),
+                TaxelFrame(frame.timestamp, "ft0", np.full((N_S, 3), np.nan)),
+                TaxelFrame(frame.timestamp, "ft0", np.zeros((N_S + 1, 3))),
+                TaxelFrame(frame.timestamp, "ft0", big),
+            )
+            for b in bad:
+                with pytest.raises(GripwatchError):
+                    noisy.process(b)
+        got += noisy.process(frame)
+    assert got == expected and len(got) == 80 - 13

@@ -15,10 +15,9 @@ from gripwatch.features import (
     DwtConfig,
     StreamingExtractor,
     batch_features,
-    compute_m,
-    compute_sigma,
     extract_stream,
     haar_decompose,
+    window_stats,
 )
 from gripwatch.tactile import ForceSample
 
@@ -82,22 +81,31 @@ def test_odd_n_w_rejected():
 
 
 def test_m_both_denominator_modes():
-    decomp = haar_decompose([1, 1, 1, 1], DwtConfig(n_w=4))
-    assert compute_m(decomp, DwtConfig(n_w=4)) == pytest.approx(SQRT2 / 2)
+    m, _ = window_stats(np.ones(4))
+    assert m == pytest.approx(SQRT2 / 2)
+    assert m == pytest.approx(brute_m([1, 1, 1, 1], 4), abs=1e-15)
 
 
 def test_sigma_both_denominator_modes():
     # details [sqrt2, -sqrt2] from window [1, -1, -1, 1]
-    decomp = haar_decompose([1, -1, -1, 1], DwtConfig(n_w=4))
-    assert np.allclose(decomp.details, [SQRT2, -SQRT2])
-    assert compute_sigma(decomp, DwtConfig(n_w=4)) == pytest.approx(1.0)
+    window = [1, -1, -1, 1]
+    assert np.allclose(haar_decompose(window, DwtConfig(n_w=4)).details, [SQRT2, -SQRT2])
+    _, sigma = window_stats(np.array(window, dtype=float))
+    assert sigma == pytest.approx(1.0)
+    assert sigma == pytest.approx(brute_sigma(window, 4), abs=1e-15)
 
 
 def test_constant_window_zero_sigma_and_m():
-    decomp = haar_decompose([0.0] * 6, DwtConfig(n_w=6))
-    cfg = DwtConfig(n_w=6)
-    assert compute_m(decomp, cfg) == 0.0
-    assert compute_sigma(decomp, cfg) == 0.0
+    assert window_stats(np.zeros(6)) == (0.0, 0.0)
+
+
+@settings(max_examples=200)
+@given(window=windows)
+def test_window_stats_match_brute_force_oracle(window):
+    n_w = len(window)
+    m, sigma = window_stats(np.array(window))
+    assert m == pytest.approx(brute_m(window, n_w), abs=1e-9)
+    assert sigma == pytest.approx(brute_sigma(window, n_w), abs=1e-9)
 
 
 @settings(max_examples=200)
@@ -125,15 +133,16 @@ def test_constant_offset_shifts_approximations_only(window, offset):
     assert np.allclose(
         shifted.approximations, base.approximations + offset * SQRT2, atol=1e-9
     )
-    assert compute_sigma(shifted, cfg) == pytest.approx(compute_sigma(base, cfg), abs=1e-9)
+    _, sigma = window_stats(np.array(window))
+    _, sigma_shifted = window_stats(np.array(window) + offset)
+    assert sigma_shifted == pytest.approx(sigma, abs=1e-9)
 
 
 def test_sigma_zero_iff_pairwise_constant():
-    cfg = DwtConfig(n_w=6)
-    pairwise = [3, 3, -1, -1, 7, 7]
-    assert compute_sigma(haar_decompose(pairwise, cfg), cfg) == 0.0
-    uneven = [3, 3, -1, 0, 7, 7]
-    assert compute_sigma(haar_decompose(uneven, cfg), cfg) > 0
+    pairwise = np.array([3, 3, -1, -1, 7, 7], dtype=float)
+    assert window_stats(pairwise)[1] == 0.0
+    uneven = np.array([3, 3, -1, 0, 7, 7], dtype=float)
+    assert window_stats(uneven)[1] > 0
 
 
 @pytest.mark.parametrize(
@@ -153,6 +162,27 @@ def test_stream_rejects_out_of_order_timestamps():
     extractor.push(ForceSample(1.0, [0, 0, 0], 0.0))
     with pytest.raises(OutOfOrderTimestamp):
         extractor.push(ForceSample(0.5, [0, 0, 0], 0.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_rejected_sample_leaves_the_extractor_unchanged():
+    values = np.linspace(1.0, 2.0, 10)
+    clean = StreamingExtractor(DwtConfig(n_w=4))
+    noisy = StreamingExtractor(DwtConfig(n_w=4))
+    bad = (
+        ForceSample(-1.0, [0, 0, 0], 0.0),  # older than the last sample
+        ForceSample(99.0, [np.nan, 0, 0], 1.0),
+        ForceSample(99.0, [0, 0, 0], np.inf),
+        ForceSample(99.0, [1e200, 0, 0], 1e200),  # sigma overflows
+    )
+    for i, sample in enumerate(samples_from(values)):
+        expected = clean.push(sample)
+        if i:
+            for b in bad:
+                with pytest.raises((OutOfOrderTimestamp, NonFiniteInput)):
+                    noisy.push(b)
+        got = noisy.push(sample)
+        assert (got is None and expected is None) or np.array_equal(got, expected)
 
 
 def test_streaming_matches_brute_force_oracle():
@@ -177,13 +207,15 @@ def test_batch_features_match_streaming():
     labels = rng.integers(0, 2, size=n)
     cfg = DwtConfig(n_w=8)
     X, y, t_out = batch_features(t, f_tip, f_a, cfg, labels=labels)
-    samples = [ForceSample(t[i], f_tip[i], f_a[i]) for i in range(n)]
-    streamed = list(extract_stream(samples, cfg, labels=labels))
-    assert len(streamed) == len(X) == n - 7
-    for i, phi in enumerate(streamed):
-        assert np.allclose(phi.as_array(), X[i], atol=1e-12)
-        assert phi.label == y[i]
-        assert phi.timestamp == pytest.approx(t_out[i])
+    assert np.array_equal(y, labels[7:])
+    extractor = StreamingExtractor(cfg)
+    rows = [extractor.push(ForceSample(t[i], f_tip[i], f_a[i])) for i in range(n)]
+    assert rows[:7] == [None] * 7
+    # one kernel on both paths: the same rows, bit for bit
+    assert np.array_equal(np.stack(rows[7:]), X)
+    streamed = list(extract_stream([ForceSample(t[i], f_tip[i], f_a[i]) for i in range(n)], cfg))
+    assert [phi.timestamp for phi in streamed] == t_out.tolist()
+    assert np.array_equal([[phi.m, phi.sigma] for phi in streamed], X[:, 4:])
 
 
 def test_batch_features_short_series_is_empty():

@@ -10,7 +10,6 @@ from gripwatch.errors import (
     ParseError,
     SingleClassDataset,
     VersionMismatch,
-    WrongModelKind,
 )
 from gripwatch.features import FEATURE_NAMES
 from gripwatch.models import (
@@ -21,10 +20,9 @@ from gripwatch.models import (
     load_model,
     logreg_loss_grad,
     mask_from_names,
-    predict_label,
-    predict_proba,
-    predict_score,
+    predict_label_batch,
     predict_score_batch,
+    sigmoid,
     save_model,
     train,
 )
@@ -129,23 +127,11 @@ def test_labels_other_than_zero_and_one_rejected():
 def test_predict_score_affine_and_trivial_cases():
     X, y = synthetic_dataset()
     model = train((X, y), TrainConfig(), mask=FULL_MASK)
-    phi = np.zeros(6)
-    base = predict_score(model, phi)
-    bumped = phi.copy()
-    bumped[0] = 1.0
-    twice = phi.copy()
-    twice[0] = 2.0
-    delta = predict_score(model, bumped) - base
-    assert predict_score(model, twice) - base == pytest.approx(2 * delta, abs=1e-9)
-
-
-def test_predict_proba_values_and_tiebreak():
-    X, y = synthetic_dataset()
-    model = train((X, y), TrainConfig(), mask=FULL_MASK)
-    # probability is the sigmoid of the score
-    phi = np.ones(6) * 0.3
-    score = predict_score(model, phi)
-    assert predict_proba(model, phi) == pytest.approx(1 / (1 + np.exp(-score)))
+    rows = np.zeros((3, 6))
+    rows[1, 0] = 1.0
+    rows[2, 0] = 2.0
+    base, bumped, twice = predict_score_batch(model, rows)
+    assert twice - base == pytest.approx(2 * (bumped - base), abs=1e-9)
 
 
 def test_zero_model_scores_zero_and_predicts_unstable():
@@ -159,24 +145,15 @@ def test_zero_model_scores_zero_and_predicts_unstable():
         feature_mask=FULL_MASK,
         train_config=TrainConfig(),
     )
-    phi = np.array([3.0, -1, 2, 0.5, 7, 1])
-    assert predict_score(model, phi) == 0.0
-    assert predict_proba(model, phi) == 0.5
-    assert predict_label(model, phi) == 0  # tie goes to unstable
+    phi = np.array([[3.0, -1, 2, 0.5, 7, 1]])
+    assert predict_score_batch(model, phi).tolist() == [0.0]
+    assert sigmoid(predict_score_batch(model, phi)[0]) == 0.5
+    assert predict_label_batch(model, phi).tolist() == [0]  # tie goes to unstable
 
 
 def test_sigmoid_reference_value():
     # sigma(2) = 1 / (1 + e^-2), frozen from high-precision evaluation
-    from gripwatch.models import sigmoid
-
     assert sigmoid(2.0) == pytest.approx(0.8807970779778823, abs=1e-12)
-
-
-def test_predict_proba_rejects_svm():
-    X, y = toy_1d_dataset()
-    model = train((X, y), TrainConfig(kind="svm"), mask=mask_from_names(["fa"]))
-    with pytest.raises(WrongModelKind):
-        predict_proba(model, np.zeros(6))
 
 
 def test_gradient_matches_finite_differences():
@@ -246,8 +223,6 @@ def test_loss_grad_bitwise_equal_to_reference_and_inputs_untouched():
 
 def test_monotone_link():
     scores = np.linspace(-10, 10, 101)
-    from gripwatch.models import sigmoid
-
     probs = sigmoid(scores)
     assert np.all(np.diff(probs) > 0)
 

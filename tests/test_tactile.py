@@ -106,13 +106,16 @@ def test_aggregate_series_matches_per_frame():
         single = aggregate_tip_force(frame, geometry)
         assert np.allclose(f_tip[i], single.f_tip)
         assert f_a[i] == pytest.approx(single.f_a)
+    assert np.allclose(f_tip, [sum(r @ x for r, x in zip(geometry.rotations, f.taxels)) for f in frames])
 
-    # The identity geometry (the study's) gives exactly the 3-index contraction.
+    # The identity geometry (the study's) gives exactly the 3-index contraction,
+    # and f_a is exactly np.linalg.norm's.
     taxels = rng.normal(scale=5.0, size=(50, 30, 3))
     frames = [TaxelFrame(i * 0.1, "f", taxels[i]) for i in range(50)]
     identity = FingertipGeometry.identity(30)
-    _, f_tip, _ = aggregate_series(frames, identity)
+    _, f_tip, f_a = aggregate_series(frames, identity)
     assert np.array_equal(f_tip, np.einsum("ijk,nik->nj", identity.rotations, taxels))
+    assert np.array_equal(f_a, np.linalg.norm(f_tip, axis=1))
 
     # Random rotations agree with it up to summation order.
     q, r = np.linalg.qr(rng.normal(size=(30, 3, 3)))
