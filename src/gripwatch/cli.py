@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from . import evaluate as ev
 from .detect import MultiFingerDetector
 from .errors import GripwatchError, ParseError
 from .features import FEATURE_NAMES, DwtConfig
+from .files import read_jsonl, write_json, write_jsonl
 from .models import (
     DEFAULT_MASK,
     TrainConfig,
@@ -43,6 +45,7 @@ from .tactile import FingertipGeometry, TaxelFrame, load_geometry, save_geometry
 
 FEATURES_FORMAT = "gripwatch-features"
 FEATURES_VERSION = 1
+FEATURE_KEYS = ("t", *FEATURE_NAMES, "label")  # one feature file record
 DETECT_READ_SIZE = 1 << 16
 
 
@@ -55,55 +58,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_features(path, rows, n_w):
     """Write (t, X, y) feature rows, one JSON line per window."""
-    with open(path, "w") as fh:
-        fh.write(
-            json.dumps({"format": FEATURES_FORMAT, "version": FEATURES_VERSION, "n_w": n_w})
-            + "\n"
-        )
-        for t, X, y in rows:
-            for t_i, (fa, fx, fy, fz, m, sigma), label in zip(
-                t.tolist(), X.tolist(), y.tolist()
-            ):
-                fh.write(
-                    json.dumps(
-                        {
-                            "t": t_i,
-                            "fa": fa,
-                            "fx": fx,
-                            "fy": fy,
-                            "fz": fz,
-                            "m": m,
-                            "sigma": sigma,
-                            "label": label,
-                        }
-                    )
-                    + "\n"
-                )
+    header = {"format": FEATURES_FORMAT, "version": FEATURES_VERSION, "n_w": n_w}
+    records = (
+        dict(zip(FEATURE_KEYS, (t_i, *x, label)))
+        for t, X, y in rows
+        for t_i, x, label in zip(t.tolist(), X.tolist(), y.tolist())
+    )
+    write_jsonl(path, header, records)
 
 
 def _read_features(path):
     """A labeled feature file as (X (n, 6), y (n)) arrays; labels are kept as
     read, so that a label other than 0 or 1 reaches the label check."""
+    records = read_jsonl(path, FEATURES_FORMAT, FEATURES_VERSION)
+    next(records)  # the header
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if lineno == 1:
-                if not isinstance(record, dict) or record.get("format") != FEATURES_FORMAT:
-                    raise ParseError(f"not a {FEATURES_FORMAT} file", line=lineno)
-                continue
-            try:
-                if record["label"] is None:
-                    raise ParseError("unlabeled features", line=lineno)
-                rows.append([float(record[key]) for key in ("t", *FEATURE_NAMES, "label")])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad feature record: {exc}", line=lineno) from exc
+    for lineno, record in records:
+        try:
+            if record["label"] is None:
+                raise ParseError("unlabeled features", line=lineno)
+            rows.append([float(record[key]) for key in FEATURE_KEYS])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad feature record: {exc}", line=lineno) from exc
     if not rows:
         raise ParseError("no feature rows")
     table = np.array(rows)
@@ -172,9 +148,7 @@ def _cmd_eval(args):
     report = ev.evaluate_model(model, X, y)
     print(ev.format_report(report))
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh)
-            fh.write("\n")
+        write_json(args.report, report.to_dict())
     return 0
 
 
@@ -184,10 +158,7 @@ def _cmd_sweep(args):
     rows = ev.window_sweep(episodes, n_w_values, TrainConfig(seed=args.seed), seed=args.seed)
     print(ev.format_sweep_table(rows))
     if args.report:
-        payload = {"rows": [{"n_w": n_w, **r.to_dict()} for n_w, r in rows]}
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        write_json(args.report, {"rows": [{"n_w": n_w, **r.to_dict()} for n_w, r in rows]})
     return 0
 
 
@@ -198,9 +169,7 @@ def _cmd_ablate(args):
     print(ev.format_ablation_table(rows))
     if args.report:
         payload = {"rows": [{"features": list(groups), **r.to_dict()} for groups, r in rows]}
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        write_json(args.report, payload)
     return 0
 
 
@@ -217,9 +186,7 @@ def _cmd_baseline(args):
             "train": result.train_report.to_dict(),
             "test": result.test_report.to_dict(),
         }
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        write_json(args.report, payload)
     return 0
 
 
@@ -230,10 +197,14 @@ def _cmd_detect(args):
         model, geometry, tau=args.tau, dwt_config=DwtConfig(n_w=args.n_w)
     )
     path = getattr(args, "in")
-    source = open(path, "rb") if path else sys.stdin.buffer
     lineno = 0
     tail = b""  # a line whose newline has not been read yet
-    try:
+    # A frame whose arithmetic overflows is reported by the finite checks as
+    # that frame's error; numpy's own warning would put a line on stderr that
+    # is not an error line.
+    with (
+        open(path, "rb") if path else nullcontext(sys.stdin.buffer)
+    ) as source, np.errstate(over="ignore", invalid="ignore"):
         # read1 returns whatever input is available, so the flush after the
         # lines of one read delivers every detection before the next read
         # can block.
@@ -247,9 +218,6 @@ def _cmd_detect(args):
             _detect_line(detector, lineno + 1, tail)
         _write_detections(detector.finish())
         sys.stdout.flush()
-    finally:
-        if path:
-            source.close()
     return 0
 
 
@@ -259,7 +227,7 @@ def _detect_line(detector, lineno, line):
         return
     try:
         record = json.loads(line)
-        if "format" in record:  # episode header line
+        if isinstance(record, dict) and "format" in record:  # episode header line
             return
         frame = TaxelFrame(
             float(record["t"]),

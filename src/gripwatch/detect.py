@@ -11,12 +11,10 @@ from the frames it has, in ``finish``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput
 from .features import DwtConfig, StreamingExtractor
 from .models import LinearModel, predict_score_batch, sigmoid
 from .tactile import FingertipGeometry, TaxelFrame, aggregate_tip_force
@@ -63,10 +61,6 @@ class FingertipDetector:
         Output lags input during warm-up and, with automatic tau, during the
         calibration prefix (those detections are emitted retroactively).
         """
-        # A NaN timestamp compares false against everything, so it would
-        # pass the extractor's ordering check and then disable it.
-        if not math.isfinite(frame.timestamp):
-            raise NonFiniteInput(f"non-finite timestamp {frame.timestamp}")
         sample = aggregate_tip_force(frame, self.geometry)
         row = self._extractor.push(sample)
 

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import EmptyDataset, InvalidConfig, InvariantViolation
 from .features import DwtConfig, batch_features, detail_energies
 from .models import (
-    DEFAULT_MASK,
     LinearModel,
     TrainConfig,
     check_binary_labels,
@@ -94,6 +93,10 @@ def compute_metrics(confusion: ConfusionMatrix) -> EvalReport:
     )
 
 
+# Share of the pooled windows the studies train on; the rest are the test set.
+TRAIN_FRACTION = 0.8
+
+
 def split_indices(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     if not 0 < ratio < 1:
         raise InvalidConfig(f"split ratio must be in (0, 1), got {ratio}")
@@ -146,18 +149,11 @@ def evaluate_model(model: LinearModel, X: np.ndarray, y: np.ndarray) -> EvalRepo
     return compute_metrics(ConfusionMatrix.from_predictions(predict_label_batch(model, X), y))
 
 
-def train_and_evaluate(
-    episodes,
-    dwt_config: DwtConfig,
-    train_config: TrainConfig,
-    mask=DEFAULT_MASK,
-    ratio: float = 0.8,
-    seed: int = 0,
-):
+def train_and_evaluate(episodes, dwt_config: DwtConfig, train_config: TrainConfig, seed: int = 0):
     """Sample-level split, train, test. Returns (model, train report, test report)."""
     X, y, _ = dataset_feature_matrix(episodes, dwt_config)
-    tr, te = split_indices(len(y), ratio, seed)
-    model = train((X[tr], y[tr]), train_config, mask)
+    tr, te = split_indices(len(y), TRAIN_FRACTION, seed)
+    model = train((X[tr], y[tr]), train_config)
     return model, evaluate_model(model, X[tr], y[tr]), evaluate_model(model, X[te], y[te])
 
 
@@ -199,16 +195,12 @@ def _map_fits(fit, items) -> list:
     return results
 
 
-def window_sweep(
-    episodes, n_w_values, train_config: TrainConfig, mask=DEFAULT_MASK, seed: int = 0
-):
+def window_sweep(episodes, n_w_values, train_config: TrainConfig, seed: int = 0):
     """Re-extract, re-split, and retrain once per window size."""
     configs = [DwtConfig(n_w=n_w) for n_w in n_w_values]
 
     def row(config):
-        _, _, report = train_and_evaluate(
-            episodes, config, train_config, mask=mask, seed=seed
-        )
+        _, _, report = train_and_evaluate(episodes, config, train_config, seed=seed)
         return config.n_w, report
 
     return _map_fits(row, configs)
@@ -241,22 +233,15 @@ def group_mask(groups) -> tuple:
     return ("fa" in groups, ftip, ftip, ftip, "m" in groups, "sigma" in groups)
 
 
-def ablation_study(
-    episodes,
-    masks=None,
-    train_config: TrainConfig = None,
-    dwt_config: DwtConfig | None = None,
-    seed: int = 0,
-):
+def ablation_study(episodes, masks=None, train_config: TrainConfig = None, seed: int = 0):
     """Train one model per mask on identical splits; rows of (mask, report)."""
     train_config = train_config or TrainConfig()
-    dwt_config = dwt_config or DwtConfig()
     group_rows = list(masks if masks is not None else DEFAULT_ABLATION_GROUPS)
     feature_masks = [group_mask(groups) for groups in group_rows]
     if not all(any(mask) for mask in feature_masks):
         raise InvalidConfig("ablation mask keeps no features")
-    X, y, _ = dataset_feature_matrix(episodes, dwt_config)
-    tr, te = split_indices(len(y), 0.8, seed)
+    X, y, _ = dataset_feature_matrix(episodes, DwtConfig())
+    tr, te = split_indices(len(y), TRAIN_FRACTION, seed)
     train_set, X_test, y_test = (X[tr], y[tr]), X[te], y[te]
 
     def fit(mask):
@@ -274,12 +259,7 @@ class BaselineReport:
     degenerate: bool  # threshold outside the data range or single-class test set
 
 
-def energy_threshold_baseline(
-    episodes,
-    dwt_config: DwtConfig | None = None,
-    ratio: float = 0.8,
-    seed: int = 0,
-) -> BaselineReport:
+def energy_threshold_baseline(episodes, seed: int = 0) -> BaselineReport:
     """Single-threshold detector on the detail energy of the normal force F_x.
 
     Windows whose F_x detail energy exceeds the threshold are predicted
@@ -287,9 +267,8 @@ def energy_threshold_baseline(
     among the midpoints between consecutive distinct training energies and
     one point beyond each end; ties go to the lowest candidate.
     """
-    dwt_config = dwt_config or DwtConfig()
-    _, y, energy = dataset_feature_matrix(episodes, dwt_config)
-    tr, te = split_indices(len(y), ratio, seed)
+    _, y, energy = dataset_feature_matrix(episodes, DwtConfig())
+    tr, te = split_indices(len(y), TRAIN_FRACTION, seed)
     e_train, y_train = energy[tr], y[tr]
 
     uniq = np.unique(e_train)

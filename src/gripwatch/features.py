@@ -100,6 +100,10 @@ class StreamingExtractor:
 
     def push(self, sample: ForceSample) -> np.ndarray | None:
         """The sample's feature row in FEATURE_NAMES layout, or None in warm-up."""
+        # A NaN timestamp compares false against everything, so it would
+        # pass the ordering check below and then disable it.
+        if not math.isfinite(sample.timestamp):
+            raise NonFiniteInput(f"non-finite timestamp {sample.timestamp}")
         if self._last_t is not None and sample.timestamp < self._last_t:
             raise OutOfOrderTimestamp(
                 f"timestamp {sample.timestamp} < previous {self._last_t}"

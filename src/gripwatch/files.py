@@ -1,0 +1,73 @@
+"""The on-disk formats: one reader and one writer per kind of file.
+
+A document file (model, geometry, report) is one JSON object and a newline.
+A line file (episode log, feature file) is JSON Lines: a header object that
+names the file's ``format`` and ``version``, then one object per record.
+
+Every reader reports malformed content, including invalid UTF-8, as
+ParseError and a header of another version as VersionMismatch. An OSError
+passes through as itself.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .errors import ParseError, VersionMismatch
+
+
+def _object(data: bytes, what: str, line=None) -> dict:
+    try:
+        value = json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 in {what}: {exc.reason}", line=line) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {what}: {exc.msg}", line=line) from exc
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} is not a JSON object", line=line)
+    return value
+
+
+def write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object a document file holds; ``what`` names it in errors."""
+    with open(path, "rb") as fh:
+        return _object(fh.read(), f"{what} file")
+
+
+def check_header(record: dict, fmt: str, version: int, line=None) -> None:
+    if record.get("format") != fmt:
+        raise ParseError(f"expected format {fmt!r}, got {record.get('format')!r}", line=line)
+    if record.get("version") != version:
+        raise VersionMismatch(f"unsupported {fmt} version {record.get('version')!r}")
+
+
+def write_jsonl(path, header: dict, records) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+
+
+def read_jsonl(path, fmt: str, version: int):
+    """Yield (line number, object) for the header and then each record.
+
+    The header is the first non-blank line; blank lines are skipped.
+    """
+    header_seen = False
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            record = _object(line, "record", lineno)
+            if not header_seen:
+                check_header(record, fmt, version, lineno)
+                header_seen = True
+            yield lineno, record
+    if not header_seen:
+        raise ParseError(f"no {fmt} header")

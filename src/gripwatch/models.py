@@ -8,9 +8,8 @@ default).
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,9 +20,9 @@ from .errors import (
     NonFiniteFeature,
     ParseError,
     SingleClassDataset,
-    VersionMismatch,
 )
 from .features import FEATURE_NAMES
+from .files import check_header, read_json, write_json
 
 MODEL_FORMAT = "gripwatch-model"
 MODEL_VERSION = 1
@@ -284,43 +283,25 @@ def predict_label_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: LinearModel, path) -> None:
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "kind": model.kind,
-        "mask": list(model.feature_mask),
-        "means": model.standardizer.means.tolist(),
-        "stds": model.standardizer.stds.tolist(),
-        "weights": model.weights.tolist(),
-        "bias": model.bias,
-        "train_config": {
-            "kind": model.train_config.kind,
-            "l2_lambda": model.train_config.l2_lambda,
-            "max_iters": model.train_config.max_iters,
-            "tolerance": model.train_config.tolerance,
-            "seed": model.train_config.seed,
-            "svm_step": model.train_config.svm_step,
-            "hyper_grid": list(model.train_config.hyper_grid)
-            if model.train_config.hyper_grid
-            else None,
-            "cv_folds": model.train_config.cv_folds,
+    write_json(
+        path,
+        {
+            "format": MODEL_FORMAT,
+            "version": MODEL_VERSION,
+            "kind": model.kind,
+            "mask": list(model.feature_mask),
+            "means": model.standardizer.means.tolist(),
+            "stds": model.standardizer.stds.tolist(),
+            "weights": model.weights.tolist(),
+            "bias": model.bias,
+            "train_config": asdict(model.train_config),
         },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    )
 
 
 def load_model(path) -> LinearModel:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
-        raise ParseError(f"cannot read model file: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ParseError(f"not a {MODEL_FORMAT} file")
-    if payload.get("version") != MODEL_VERSION:
-        raise VersionMismatch(f"unsupported model version {payload.get('version')!r}")
+    payload = read_json(path, "model")
+    check_header(payload, MODEL_FORMAT, MODEL_VERSION)
     try:
         tc = dict(payload["train_config"])
         if tc.get("hyper_grid"):

@@ -9,15 +9,14 @@ transients, is labeled 0.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidConfig, InvariantViolation, ParseError
+from .files import read_jsonl, write_jsonl
 from .tactile import DEFAULT_N_S, FingertipGeometry, TaxelFrame, aggregate_taxels
 
 EPISODE_FORMAT = "gripwatch-episode"
@@ -260,10 +259,6 @@ def generate_dataset(
 # --- JSONL episode log format ---
 
 
-def _config_to_dict(config: EpisodeConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def _config_from_dict(payload: dict) -> EpisodeConfig:
     payload = dict(payload)
     payload["phase_durations"] = PhaseDurations(**payload["phase_durations"])
@@ -277,23 +272,12 @@ def save_episode_log(episode: LabeledEpisode, path) -> None:
     if len(episode.t):
         header["n_s"] = episode.taxels.shape[1]
     if episode.metadata is not None:
-        header["config"] = _config_to_dict(episode.metadata)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for t, taxels, label in zip(
-            episode.t.tolist(), episode.taxels, episode.labels.tolist()
-        ):
-            fh.write(
-                json.dumps(
-                    {
-                        "t": t,
-                        "fingertip": episode.fingertip_id,
-                        "taxels": taxels.tolist(),
-                        "label": label,
-                    }
-                )
-                + "\n"
-            )
+        header["config"] = asdict(episode.metadata)
+    frames = (
+        {"t": t, "fingertip": episode.fingertip_id, "taxels": taxels.tolist(), "label": label}
+        for t, taxels, label in zip(episode.t.tolist(), episode.taxels, episode.labels.tolist())
+    )
+    write_jsonl(path, header, frames)
 
 
 def load_episode_log(path) -> LabeledEpisode:
@@ -301,67 +285,45 @@ def load_episode_log(path) -> LabeledEpisode:
     ts, taxel_rows, labels = [], [], []
     fingertip_id = None
     metadata = None
-    n_s = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if lineno == 1:
-                if not isinstance(record, dict):
-                    raise ParseError("header is not a JSON object", line=lineno)
-                if record.get("format") != EPISODE_FORMAT:
-                    raise ParseError(
-                        f"expected format {EPISODE_FORMAT!r}, got {record.get('format')!r}",
-                        line=lineno,
-                    )
-                if record.get("version") != EPISODE_VERSION:
-                    raise ParseError(
-                        f"unsupported version {record.get('version')!r}", line=lineno
-                    )
-                n_s = record.get("n_s")
-                if "config" in record:
-                    try:
-                        metadata = _config_from_dict(record["config"])
-                    except (KeyError, TypeError) as exc:
-                        raise ParseError(f"bad config echo: {exc}", line=lineno) from exc
-                continue
-            try:
-                t = float(record["t"])
-                fingertip = str(record["fingertip"])
-                taxels = np.array(record["taxels"], dtype=float)
-                label = int(record["label"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
-            if taxels.ndim != 2 or taxels.shape[1] != 3:
-                raise ParseError(
-                    f"taxels must be an n_s x 3 array, got shape {taxels.shape}",
-                    line=lineno,
-                )
-            if n_s is None:
-                n_s = taxels.shape[0]
-            elif taxels.shape[0] != n_s:
-                raise ParseError(
-                    f"expected {n_s} taxel readings, found {taxels.shape[0]}",
-                    line=lineno,
-                )
-            if label not in (0, 1):
-                raise ParseError(f"label must be 0 or 1, got {label}", line=lineno)
-            if fingertip_id is None:
-                fingertip_id = fingertip
-            elif fingertip != fingertip_id:
-                raise ParseError(
-                    f"fingertip {fingertip!r} differs from {fingertip_id!r}", line=lineno
-                )
-            if ts and t < ts[-1]:
-                raise ParseError(f"timestamp {t} decreases below {ts[-1]}", line=lineno)
-            ts.append(t)
-            taxel_rows.append(taxels)
-            labels.append(label)
+    records = read_jsonl(path, EPISODE_FORMAT, EPISODE_VERSION)
+    lineno, header = next(records)
+    n_s = header.get("n_s")
+    if "config" in header:
+        try:
+            metadata = _config_from_dict(header["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad config echo: {exc}", line=lineno) from exc
+    for lineno, record in records:
+        try:
+            t = float(record["t"])
+            fingertip = str(record["fingertip"])
+            taxels = np.array(record["taxels"], dtype=float)
+            label = int(record["label"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
+        if taxels.ndim != 2 or taxels.shape[1] != 3:
+            raise ParseError(
+                f"taxels must be an n_s x 3 array, got shape {taxels.shape}", line=lineno
+            )
+        if n_s is None:
+            n_s = taxels.shape[0]
+        elif taxels.shape[0] != n_s:
+            raise ParseError(
+                f"expected {n_s} taxel readings, found {taxels.shape[0]}", line=lineno
+            )
+        if label not in (0, 1):
+            raise ParseError(f"label must be 0 or 1, got {label}", line=lineno)
+        if fingertip_id is None:
+            fingertip_id = fingertip
+        elif fingertip != fingertip_id:
+            raise ParseError(
+                f"fingertip {fingertip!r} differs from {fingertip_id!r}", line=lineno
+            )
+        if ts and t < ts[-1]:
+            raise ParseError(f"timestamp {t} decreases below {ts[-1]}", line=lineno)
+        ts.append(t)
+        taxel_rows.append(taxels)
+        labels.append(label)
     if not ts:
         raise ParseError("no frames")
     return LabeledEpisode(

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvariantViolation, LengthMismatch, NonFiniteInput, ParseError
+from .files import read_json, write_json
 
 DEFAULT_N_S = 30
 
@@ -152,33 +152,23 @@ def aggregate_series(frames, geometry: FingertipGeometry):
 
 
 def save_geometry(geometry: FingertipGeometry, path) -> None:
-    payload = {
-        "n_s": geometry.n_s,
-        "rotations": [r.reshape(9).tolist() for r in geometry.rotations],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(
+        path,
+        {"n_s": geometry.n_s, "rotations": [r.reshape(9).tolist() for r in geometry.rotations]},
+    )
 
 
 def load_geometry(path, tol: float = SO3_TOL_FILE) -> FingertipGeometry:
     """Load a geometry file and validate SO(3) membership at file tolerance."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
-        raise ParseError(f"cannot read geometry file: {exc}") from exc
+    payload = read_json(path, "geometry")
     try:
         n_s = int(payload["n_s"])
         flat = payload["rotations"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"geometry file missing field: {exc}") from exc
-    if len(flat) != n_s:
-        raise ParseError(f"expected {n_s} rotations, found {len(flat)}")
-    try:
+        if len(flat) != n_s:
+            raise ParseError(f"expected {n_s} rotations, found {len(flat)}")
         rotations = np.array(flat, dtype=float).reshape(n_s, 3, 3)
-    except ValueError as exc:
-        raise ParseError(f"malformed rotation entries: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed geometry file: {exc}") from exc
     geometry = FingertipGeometry(rotations)
     violations = validate_geometry(geometry, tol=tol)
     if violations:

@@ -158,6 +158,8 @@ def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
     episode = sorted((workspace / "data").glob("episode*.jsonl"))[0]
     lines = episode.read_bytes().splitlines()
     nan_t = json.dumps({**json.loads(lines[40]), "t": float("nan")}).encode()
+    huge = json.loads(lines[40])
+    huge["taxels"][0][0] = 1e200  # finite, but its squared tip force overflows
     fuzzed = tmp_path / "fuzzed.jsonl"
     broken = [
         b"{not json",
@@ -165,6 +167,8 @@ def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
         b'{"t": "x", "fingertip": "f", "taxels": 3}',
         b'{"t": 1.0, "fingertip": "f\xff", "taxels": []}',  # invalid UTF-8
         nan_t,
+        json.dumps(huge).encode(),
+        b'"format"',  # a string, not a header object
     ]
     fuzzed.write_bytes(b"\n".join(lines[:40] + broken + lines[40:80]) + b"\n")
     rc = main(
@@ -190,6 +194,8 @@ def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
         (43, "ValueError"),
         (44, "UnicodeDecodeError"),
         (45, "NonFiniteInput"),
+        (46, "NonFiniteInput"),
+        (47, "TypeError"),
     ]
     # 79 valid frames survive (header excluded), minus the warm-up prefix;
     # every output line is strict JSON
@@ -323,18 +329,61 @@ def test_labels_other_than_zero_and_one_are_data_errors(workspace, tmp_path, cap
         assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("command", ["eval --model", "train --features", "extract --in"])
-def test_json_that_is_not_an_object_is_a_parse_error(workspace, tmp_path, capsys, command):
+FILE_FORMATS = {
+    "eval --model": "gripwatch-model",
+    "detect --model": "gripwatch-model",
+    "detect --geometry": None,  # a geometry file has no header
+    "train --features": "gripwatch-features",
+    "extract --in": "gripwatch-episode",
+}
+# valid as a feature row and as an episode frame
+HEADERLESS_ROWS = "".join(
+    json.dumps(
+        {"t": t, "fingertip": "ft0", "taxels": [[1, 0, 0]], "fa": 1.0, "fx": 1.0, "fy": 0.0,
+         "fz": 0.0, "m": 1.0, "sigma": 0.0, "label": label}
+    ) + "\n"
+    for t, label in ((0.0, 1), (1.0, 0))
+)
+
+
+def bad_files():
+    for command, fmt in FILE_FORMATS.items():
+        header = json.dumps({"format": fmt, "version": 1}) + "\n"
+        yield pytest.param(command, b"[1, 2]\n", "ParseError", id=command)
+        yield pytest.param(
+            command, b'{"format": "\xff"}\n', "ParseError", id=f"{command}, invalid UTF-8"
+        )
+        yield pytest.param(
+            command, f"\n{HEADERLESS_ROWS}".encode(), "ParseError", id=f"{command}, no header"
+        )
+        if fmt:
+            wrong = json.dumps({"format": fmt, "version": 99}) + "\n"
+            yield pytest.param(
+                command, wrong.encode(), "VersionMismatch", id=f"{command}, wrong version"
+            )
+        yield pytest.param(
+            command, f"{header}[1, 2]\n".encode(), "ParseError", id=f"{command}, array line"
+        )
+
+
+@pytest.mark.parametrize("command, content, error", list(bad_files()))
+def test_json_that_is_not_an_object_is_a_parse_error(
+    workspace, tmp_path, capsys, command, content, error
+):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("[1, 2]\n")
+    bad.write_bytes(content)
+    model, geometry = str(workspace / "model.json"), str(workspace / "data" / "geometry.json")
+    episode = str(sorted((workspace / "data").glob("episode*.jsonl"))[0])
     argvs = {
         "eval --model": ["eval", "--model", str(bad), "--features", str(workspace / "features.jsonl")],
+        "detect --model": ["detect", "--model", str(bad), "--geometry", geometry, "--in", episode],
+        "detect --geometry": ["detect", "--model", model, "--geometry", str(bad), "--in", episode],
         "train --features": ["train", "--features", str(bad), "--out", str(tmp_path / "m.json")],
         "extract --in": ["extract", "--in", str(bad), "--out", str(tmp_path / "f.jsonl")],
     }
     assert main(argvs[command]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
 
 
 def test_usage_error_exit_code():

@@ -24,7 +24,7 @@ from gripwatch.evaluate import (
     window_sweep,
 )
 from gripwatch.features import DwtConfig
-from gripwatch.models import TrainConfig
+from gripwatch.models import DEFAULT_MASK, TrainConfig
 from gripwatch.simulate import (
     DisturbanceConfig,
     EpisodeConfig,
@@ -159,7 +159,7 @@ def recorded_fits(monkeypatch):
     bias bytes, thread id) to the returned list."""
     fits, lock, real_train = [], threading.Lock(), evaluate.train
 
-    def recording_train(features, config, mask):
+    def recording_train(features, config, mask=DEFAULT_MASK):
         model = real_train(features, config, mask)
         fitted = model.weights.tobytes() + np.float64(model.bias).tobytes()
         with lock:
@@ -351,6 +351,5 @@ def test_baseline_matches_exhaustive_scan(monkeypatch):
         monkeypatch.setattr(
             evaluate, "dataset_feature_matrix", lambda *_args, **_kw: (None, y, energy)
         )
-        for ratio, seed in ((0.8, i), (0.5, 0)):
-            expected = exhaustive_baseline(y, energy, ratio, seed)
-            assert energy_threshold_baseline([], ratio=ratio, seed=seed) == expected
+        expected = exhaustive_baseline(y, energy, 0.8, i)
+        assert energy_threshold_baseline([], seed=i) == expected

@@ -171,6 +171,7 @@ def test_rejected_sample_leaves_the_extractor_unchanged():
     noisy = StreamingExtractor(DwtConfig(n_w=4))
     bad = (
         ForceSample(-1.0, [0, 0, 0], 0.0),  # older than the last sample
+        ForceSample(np.nan, [0, 0, 0], 1.0),  # would disable the order check
         ForceSample(99.0, [np.nan, 0, 0], 1.0),
         ForceSample(99.0, [0, 0, 0], np.inf),
         ForceSample(99.0, [1e200, 0, 0], 1e200),  # sigma overflows

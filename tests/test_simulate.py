@@ -170,7 +170,7 @@ def test_episode_log_reports_line_of_bad_frame(tmp_path):
 def test_episode_log_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    with pytest.raises(ParseError, match="no frames"):
+    with pytest.raises(ParseError, match="no gripwatch-episode header"):
         load_episode_log(path)
 
 
