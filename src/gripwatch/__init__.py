@@ -7,7 +7,6 @@ from .evaluate import (
     ablation_study,
     compute_metrics,
     energy_threshold_baseline,
-    split_dataset,
     window_sweep,
 )
 from .features import (

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import evaluate as ev
 from .detect import MultiFingerDetector
-from .errors import GripwatchError, ParseError
+from .errors import GripwatchError, InvalidConfig, ParseError
 from .features import FEATURE_NAMES, DwtConfig
 from .files import read_jsonl, write_json, write_jsonl
 from .models import (
@@ -68,10 +68,14 @@ def _write_features(path, rows, n_w):
 
 
 def _read_features(path):
-    """A labeled feature file as (X (n, 6), y (n)) arrays; labels are kept as
-    read, so that a label other than 0 or 1 reaches the label check."""
+    """A labeled feature file as (X (n, 6), y (n), its DwtConfig); labels are
+    kept as read, so that a label other than 0 or 1 reaches the label check."""
     records = read_jsonl(path, FEATURES_FORMAT, FEATURES_VERSION)
-    next(records)  # the header
+    lineno, header = next(records)
+    try:
+        dwt_config = DwtConfig(n_w=header.get("n_w"))
+    except InvalidConfig as exc:
+        raise ParseError(f"bad feature header: {exc}", line=lineno) from exc
     rows = []
     for lineno, record in records:
         try:
@@ -83,7 +87,7 @@ def _read_features(path):
     if not rows:
         raise ParseError("no feature rows")
     table = np.array(rows)
-    return table[:, 1:-1], table[:, -1]
+    return table[:, 1:-1], table[:, -1], dwt_config
 
 
 def _load_dataset(directory):
@@ -132,11 +136,11 @@ def _cmd_extract(args):
 
 
 def _cmd_train(args):
-    features = _read_features(args.features)
+    X, y, dwt_config = _read_features(args.features)
     mask = mask_from_names(args.mask.split(",")) if args.mask else DEFAULT_MASK
     grid = tuple(float(v) for v in args.grid.split(",")) if args.grid else None
     config = TrainConfig(kind=args.kind, l2_lambda=args.l2, seed=args.seed, hyper_grid=grid)
-    model = train(features, config, mask)
+    model = train((X, y), config, mask, dwt_config)
     save_model(model, args.out)
     print(f"trained {args.kind} model -> {args.out}")
     return 0
@@ -144,7 +148,11 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     model = load_model(args.model)
-    X, y = _read_features(args.features)
+    X, y, dwt_config = _read_features(args.features)
+    if dwt_config != model.dwt_config:
+        raise InvalidConfig(
+            f"features of window n_w={dwt_config.n_w} for a model of n_w={model.dwt_config.n_w}"
+        )
     report = ev.evaluate_model(model, X, y)
     print(ev.format_report(report))
     if args.report:
@@ -193,9 +201,7 @@ def _cmd_baseline(args):
 def _cmd_detect(args):
     model = load_model(args.model)
     geometry = load_geometry(args.geometry)
-    detector = MultiFingerDetector(
-        model, geometry, tau=args.tau, dwt_config=DwtConfig(n_w=args.n_w)
-    )
+    detector = MultiFingerDetector(model, geometry, tau=args.tau)
     path = getattr(args, "in")
     lineno = 0
     tail = b""  # a line whose newline has not been read yet
@@ -315,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--geometry", required=True)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--n-w", dest="n_w", type=int, default=14)
     p.add_argument("--in", default=None, help="frame JSONL (default: stdin)")
     p.set_defaults(func=_cmd_detect)
 

@@ -1,8 +1,9 @@
 """Online per-fingertip instability detector.
 
-Each fingertip owns an independent detector state: a feature extractor, a
-trained model, and a contact threshold tau. Frames with force amplitude
-below tau are reported as no-contact without consulting the classifier.
+Each fingertip owns an independent detector state: a feature extractor over
+the window the model was trained with, the model, and a contact threshold
+tau. Frames with force amplitude below tau are reported as no-contact
+without consulting the classifier.
 When tau is not given it is estimated as three times the amplitude noise
 floor observed over the first frames of the stream (assumed contact-free).
 A stream that ends before the calibration prefix is complete calibrates tau
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import DwtConfig, StreamingExtractor
+from .features import StreamingExtractor
 from .models import LinearModel, predict_score_batch, sigmoid
 from .tactile import FingertipGeometry, TaxelFrame, aggregate_tip_force
 
@@ -40,18 +41,11 @@ class Detection:
 class FingertipDetector:
     """Sequential detector for a single fingertip stream. Not thread-safe."""
 
-    def __init__(
-        self,
-        model: LinearModel,
-        geometry: FingertipGeometry,
-        tau: float | None = None,
-        dwt_config: DwtConfig | None = None,
-    ):
+    def __init__(self, model: LinearModel, geometry: FingertipGeometry, tau: float | None = None):
         self.model = model
         self.geometry = geometry
-        self.dwt_config = dwt_config or DwtConfig()
         self.tau = tau
-        self._extractor = StreamingExtractor(self.dwt_config)
+        self._extractor = StreamingExtractor(model.dwt_config)
         self._pending = []  # (timestamp, fingertip, row) held back while tau calibrates
         self._calibration = [] if tau is None else None
 
@@ -105,24 +99,16 @@ class FingertipDetector:
 class MultiFingerDetector:
     """Routes interleaved frames to one independent detector per fingertip."""
 
-    def __init__(self, model_for, geometry, tau=None, dwt_config=None):
-        # model_for: either a LinearModel shared by all fingertips, or a
-        # callable fingertip_id -> LinearModel for per-finger models.
-        self._model_for = model_for if callable(model_for) else (lambda _: model_for)
+    def __init__(self, model: LinearModel, geometry: FingertipGeometry, tau: float | None = None):
+        self._model = model
         self._geometry = geometry
         self._tau = tau
-        self._dwt_config = dwt_config
         self._detectors: dict[str, FingertipDetector] = {}
 
     def process(self, frame: TaxelFrame) -> list[Detection]:
         detector = self._detectors.get(frame.fingertip_id)
         if detector is None:
-            detector = FingertipDetector(
-                self._model_for(frame.fingertip_id),
-                self._geometry,
-                tau=self._tau,
-                dwt_config=self._dwt_config,
-            )
+            detector = FingertipDetector(self._model, self._geometry, tau=self._tau)
             self._detectors[frame.fingertip_id] = detector
         return detector.process(frame)
 
@@ -132,9 +118,9 @@ class MultiFingerDetector:
         return [d for detector in self._detectors.values() for d in detector.finish()]
 
 
-def detect_stream(frames, model, geometry, tau=None, dwt_config=None):
+def detect_stream(frames, model, geometry, tau=None):
     """Run the detector over an iterable of frames, yielding detections."""
-    detector = MultiFingerDetector(model, geometry, tau=tau, dwt_config=dwt_config)
+    detector = MultiFingerDetector(model, geometry, tau=tau)
     for frame in frames:
         yield from detector.process(frame)
     yield from detector.finish()

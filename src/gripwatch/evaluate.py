@@ -107,13 +107,6 @@ def split_indices(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarr
     return order[:cut], order[cut:]
 
 
-def split_dataset(items, ratio: float, seed: int):
-    """Deterministic shuffled split of the items into (train, test) lists."""
-    items = list(items)
-    train_idx, test_idx = split_indices(len(items), ratio, seed)
-    return [items[i] for i in train_idx], [items[i] for i in test_idx]
-
-
 # --- episode-level pipeline helpers ---
 
 
@@ -153,7 +146,7 @@ def train_and_evaluate(episodes, dwt_config: DwtConfig, train_config: TrainConfi
     """Sample-level split, train, test. Returns (model, train report, test report)."""
     X, y, _ = dataset_feature_matrix(episodes, dwt_config)
     tr, te = split_indices(len(y), TRAIN_FRACTION, seed)
-    model = train((X[tr], y[tr]), train_config)
+    model = train((X[tr], y[tr]), train_config, dwt_config=dwt_config)
     return model, evaluate_model(model, X[tr], y[tr]), evaluate_model(model, X[te], y[te])
 
 

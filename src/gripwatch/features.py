@@ -14,6 +14,7 @@ window per pushed sample.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +33,7 @@ class DwtConfig:
     n_w: int = 14
 
     def __post_init__(self):
-        if self.n_w < 2 or self.n_w % 2 != 0:
+        if not isinstance(self.n_w, numbers.Integral) or self.n_w < 2 or self.n_w % 2:
             raise InvalidConfig(f"n_w must be a positive even integer, got {self.n_w}")
 
 

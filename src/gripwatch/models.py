@@ -15,21 +15,26 @@ import numpy as np
 
 from .errors import (
     EmptyDataset,
+    InvalidConfig,
     InvariantViolation,
     LengthMismatch,
     NonFiniteFeature,
     ParseError,
     SingleClassDataset,
 )
-from .features import FEATURE_NAMES
+from .features import FEATURE_NAMES, DwtConfig
 from .files import check_header, read_json, write_json
 
 MODEL_FORMAT = "gripwatch-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Default mask drops the moving-average column (redundant with fa).
 DEFAULT_MASK = (True, True, True, True, False, True)
 FULL_MASK = (True,) * 6
+
+TOLERANCE = 1e-8  # logreg stops once the gradient norm is at most this
+SVM_STEP = 0.1  # base step for the 1/sqrt(t) subgradient schedule
+CV_FOLDS = 5
 
 
 def mask_from_names(names) -> tuple:
@@ -59,11 +64,8 @@ class TrainConfig:
     kind: str = "logreg"  # logreg | svm
     l2_lambda: float = 1e-4
     max_iters: int = 500
-    tolerance: float = 1e-8
     seed: int = 0
-    svm_step: float = 0.1  # base step for the 1/sqrt(t) subgradient schedule
     hyper_grid: tuple | None = None
-    cv_folds: int = 5
 
     def __post_init__(self):
         if self.kind not in ("logreg", "svm"):
@@ -80,6 +82,7 @@ class LinearModel:
     standardizer: Standardizer
     feature_mask: tuple
     train_config: TrainConfig
+    dwt_config: DwtConfig  # the window the features were extracted with
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
@@ -163,7 +166,7 @@ def _train_logreg(X, y, config: TrainConfig):
     loss, grad = logreg_loss_grad(theta, X, y, config.l2_lambda)
     for _ in range(config.max_iters):
         gnorm2 = grad @ grad
-        if np.sqrt(gnorm2) <= config.tolerance:
+        if np.sqrt(gnorm2) <= TOLERANCE:
             break
         step = 1.0
         for _ in range(60):  # Armijo backtracking
@@ -195,7 +198,7 @@ def _train_svm(X, y, config: TrainConfig):
         else:
             grad_w = config.l2_lambda * w
             grad_b = 0.0
-        step = config.svm_step / np.sqrt(t + 1.0)
+        step = SVM_STEP / np.sqrt(t + 1.0)
         w = w - step * grad_w
         b = b - step * grad_b
         if t >= half:
@@ -205,10 +208,13 @@ def _train_svm(X, y, config: TrainConfig):
     return w_sum / averaged, float(b_sum / averaged)
 
 
-def train(features, config: TrainConfig, mask=DEFAULT_MASK) -> LinearModel:
+def train(
+    features, config: TrainConfig, mask=DEFAULT_MASK, dwt_config=DwtConfig()
+) -> LinearModel:
     """Fit a standardizer and a linear model on labeled features.
 
-    ``features`` is an (X, y) pair with X in the 6-column layout.
+    ``features`` is an (X, y) pair with X in the 6-column layout, extracted
+    with the window ``dwt_config``, which the model keeps.
     """
     X_full, y = features
     X_full = np.asarray(X_full, dtype=float)
@@ -241,19 +247,19 @@ def train(features, config: TrainConfig, mask=DEFAULT_MASK) -> LinearModel:
         w, b = _train_logreg(Xs, y, config)
     else:
         w, b = _train_svm(Xs, y, config)
-    return LinearModel(config.kind, w, b, standardizer, mask, config)
+    return LinearModel(config.kind, w, b, standardizer, mask, config, dwt_config)
 
 
 def _grid_search(X, y, config: TrainConfig, mask) -> float:
     """Deterministic k-fold CV over the lambda grid; ties go to the smaller lambda."""
     order = np.random.default_rng(config.seed).permutation(len(y))
-    folds = np.array_split(order, config.cv_folds)
+    folds = np.array_split(order, CV_FOLDS)
     best_lambda, best_acc = None, -1.0
     for lam in sorted(config.hyper_grid):
         accs = []
-        for k in range(config.cv_folds):
+        for k in range(CV_FOLDS):
             val_idx = folds[k]
-            train_idx = np.concatenate([folds[j] for j in range(config.cv_folds) if j != k])
+            train_idx = np.concatenate([folds[j] for j in range(CV_FOLDS) if j != k])
             if len(np.unique(y[train_idx])) < 2 or len(val_idx) == 0:
                 continue
             fold_cfg = replace(config, l2_lambda=lam, hyper_grid=None)
@@ -289,6 +295,7 @@ def save_model(model: LinearModel, path) -> None:
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "kind": model.kind,
+            "n_w": model.dwt_config.n_w,
             "mask": list(model.feature_mask),
             "means": model.standardizer.means.tolist(),
             "stds": model.standardizer.stds.tolist(),
@@ -317,9 +324,13 @@ def load_model(path) -> LinearModel:
             ),
             feature_mask=tuple(bool(m) for m in payload["mask"]),
             train_config=config,
+            dwt_config=DwtConfig(n_w=payload["n_w"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise ParseError(f"malformed model file: {exc}") from exc
+    params = (model.weights, model.bias, model.standardizer.means, model.standardizer.stds)
+    if not all(np.isfinite(p).all() for p in params):
+        raise ParseError("model file holds a non-finite parameter")
     if len(model.feature_mask) != len(FEATURE_NAMES):
         raise InvariantViolation(
             f"mask must have {len(FEATURE_NAMES)} entries, got {len(model.feature_mask)}"

@@ -298,7 +298,7 @@ def load_episode_log(path) -> LabeledEpisode:
             t = float(record["t"])
             fingertip = str(record["fingertip"])
             taxels = np.array(record["taxels"], dtype=float)
-            label = int(record["label"])
+            label = record["label"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
         if taxels.ndim != 2 or taxels.shape[1] != 3:
@@ -323,7 +323,7 @@ def load_episode_log(path) -> LabeledEpisode:
             raise ParseError(f"timestamp {t} decreases below {ts[-1]}", line=lineno)
         ts.append(t)
         taxel_rows.append(taxels)
-        labels.append(label)
+        labels.append(int(label))
     if not ts:
         raise ParseError("no frames")
     return LabeledEpisode(

@@ -56,6 +56,8 @@ class FingertipGeometry:
             raise InvariantViolation(
                 f"rotations must be (n_s, 3, 3), got {self.rotations.shape}"
             )
+        if not np.isfinite(self.rotations).all():
+            raise InvariantViolation("rotations contain NaN/Inf")
         self.rotations.setflags(write=False)
 
     @property

@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from gripwatch.cli import main
+from gripwatch.features import DwtConfig, batch_features
+from gripwatch.models import load_model, predict_score_batch
+from gripwatch.simulate import load_episode_log
+from gripwatch.tactile import aggregate_series, load_geometry
 
 SMALL = ["--objects", "2", "--episodes", "2", "--seed", "7"]
 
@@ -348,7 +352,7 @@ HEADERLESS_ROWS = "".join(
 
 def bad_files():
     for command, fmt in FILE_FORMATS.items():
-        header = json.dumps({"format": fmt, "version": 1}) + "\n"
+        header = json.dumps({"format": fmt, "version": 1, "n_w": 14}) + "\n"
         yield pytest.param(command, b"[1, 2]\n", "ParseError", id=command)
         yield pytest.param(
             command, b'{"format": "\xff"}\n', "ParseError", id=f"{command}, invalid UTF-8"
@@ -384,6 +388,84 @@ def test_json_that_is_not_an_object_is_a_parse_error(
     assert main(argvs[command]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
+
+
+def test_pipeline_at_n_w_8_takes_the_window_from_the_model(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    features, model = tmp_path / "f8.jsonl", tmp_path / "m8.json"
+    assert main(["extract", "--in", str(data), "--n-w", "8", "--out", str(features)]) == 0
+    assert main(["train", "--features", str(features), "--out", str(model)]) == 0
+    episode = sorted(data.glob("episode*.jsonl"))[0]
+    detect = ["detect", "--model", str(model), "--geometry", str(data / "geometry.json")]
+    capsys.readouterr()
+    assert main([*detect, "--tau", "0.5", "--in", str(episode)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = [json.loads(line) for line in captured.out.splitlines()]
+
+    trained = load_model(model)
+    assert trained.dwt_config == DwtConfig(n_w=8)
+    frames = load_episode_log(episode).frames
+    t, f_tip, f_a = aggregate_series(frames, load_geometry(data / "geometry.json"))
+    X, _, t_out = batch_features(t, f_tip, f_a, DwtConfig(n_w=8))
+    scores = predict_score_batch(trained, X)
+    assert len(out) == len(frames) - 7
+    assert [d["t"] for d in out] == t_out.tolist()
+    assert [d["sigma"] for d in out] == X[:, 5].tolist()
+    states = np.where(X[:, 0] < 0.5, "no_contact", np.where(scores > 0, "stable", "unstable"))
+    assert [d["state"] for d in out] == states.tolist()
+    assert {"stable", "unstable", "no_contact"} <= set(states.tolist())
+
+    # the window is the model's alone
+    with pytest.raises(SystemExit) as exc:
+        main([*detect, "--n-w", "8", "--in", str(episode)])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--features", str(features)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--features", str(workspace / "features.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda m: m.update(version=1) or m.pop("n_w"), "VersionMismatch"),
+        (lambda m: m.update(n_w=7), "ParseError"),
+        (lambda m: m["weights"].__setitem__(0, float("nan")), "ParseError"),
+    ],
+    ids=["version 1", "odd window", "NaN weight"],
+)
+def test_detect_rejects_a_bad_model_file_before_any_frame(workspace, tmp_path, capsys, edit, error):
+    payload = json.loads((workspace / "model.json").read_text())
+    edit(payload)
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(payload))
+    episode = str(sorted((workspace / "data").glob("episode*.jsonl"))[0])
+    geometry = str(workspace / "data" / "geometry.json")
+    rc = main(["detect", "--model", str(model), "--geometry", geometry, "--tau", "0.5", "--in", episode])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header", [{}, {"n_w": 7}, {"n_w": "14"}])
+def test_feature_file_without_a_valid_window_is_a_parse_error(workspace, tmp_path, capsys, header):
+    lines = (workspace / "features.jsonl").read_text().splitlines()
+    bad = tmp_path / "f.jsonl"
+    header = {"format": "gripwatch-features", "version": 1, **header}
+    bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    for argv in (
+        ["train", "--features", str(bad), "--out", str(tmp_path / "m.json")],
+        ["eval", "--model", str(workspace / "model.json"), "--features", str(bad)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: line 1: bad feature header: n_w")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_usage_error_exit_code():

@@ -6,7 +6,6 @@ from gripwatch.detect import (
     STABLE,
     UNSTABLE,
     FingertipDetector,
-    MultiFingerDetector,
     detect_stream,
 )
 from gripwatch.errors import GripwatchError, NonFiniteInput, OutOfOrderTimestamp
@@ -135,19 +134,6 @@ def test_svm_model_detections_have_no_probability(episodes, geometry):
     assert any(d.state == STABLE for d in out)
 
 
-def test_per_finger_model_routing(model, geometry):
-    calls = []
-
-    def model_for(fid):
-        calls.append(fid)
-        return model
-
-    detector = MultiFingerDetector(model_for, geometry, tau=0.5)
-    for f in zero_frames(5, "x") + zero_frames(5, "y"):
-        detector.process(f)
-    assert sorted(calls) == ["x", "y"]
-
-
 def test_short_stream_calibrates_tau_at_finish(model, geometry, episodes):
     frames = episodes[0].frames[:31]
     detector = FingertipDetector(model, geometry)
@@ -179,6 +165,7 @@ def test_state_and_probability_follow_one_score(geometry):
         Standardizer(np.zeros(5), np.ones(5)),
         DEFAULT_MASK,
         TrainConfig(),
+        DwtConfig(),
     )
     frames = [TaxelFrame(i / 150.0, "ft0", np.ones((N_S, 3))) for i in range(14)]
     [d] = list(detect_stream(frames, tiny, geometry, tau=0.0))
@@ -200,6 +187,19 @@ def test_detector_computes_what_the_batch_path_computes(model, geometry, episode
     assert 0 < contact.sum() < len(out)
     states = np.where(scores > 0, STABLE, UNSTABLE)
     assert [d.state for d in out if d.state != NO_CONTACT] == states[contact].tolist()
+
+
+def test_detector_window_comes_from_the_model(episodes, geometry):
+    config = DwtConfig(n_w=8)
+    X, y, _ = dataset_feature_matrix(episodes, config)
+    model = train((X, y), TrainConfig(max_iters=50), dwt_config=config)
+    assert model.dwt_config == config
+    ep = episodes[0]
+    out = list(detect_stream(ep.frames, model, geometry, tau=0.5))
+    t, f_tip, f_a = aggregate_series(ep.frames, geometry)
+    X, _, t_out = batch_features(t, f_tip, f_a, config)
+    assert [d.timestamp for d in out] == t_out.tolist()
+    assert [d.sigma for d in out] == X[:, 5].tolist()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -19,7 +19,6 @@ from gripwatch.evaluate import (
     format_ablation_table,
     format_sweep_table,
     group_mask,
-    split_dataset,
     split_indices,
     window_sweep,
 )
@@ -105,13 +104,6 @@ def test_sample_split_sizes_and_disjointness():
     assert set(train_idx) | set(test_idx) == set(range(100))
 
 
-def test_episode_split():
-    episodes = list(range(30))
-    train, test = split_dataset(episodes, 0.8, seed=0)
-    assert len(train) == 24 and len(test) == 6
-    assert sorted(train + test) == episodes
-
-
 def test_split_determinism():
     a = split_indices(57, 0.8, seed=9)
     b = split_indices(57, 0.8, seed=9)
@@ -141,6 +133,12 @@ def test_single_value_sweep(small_dataset):
     assert len(rows) == 1 and rows[0][0] == 14
 
 
+def test_trained_model_keeps_the_window_it_was_evaluated_with(small_dataset):
+    config = DwtConfig(n_w=8)
+    model, _, _ = evaluate.train_and_evaluate(small_dataset, config, TrainConfig(max_iters=20))
+    assert model.dwt_config == config
+
+
 def test_ablation_builtin_masks(small_dataset):
     rows = ablation_study(small_dataset, train_config=TrainConfig(max_iters=100))
     assert len(rows) == len(DEFAULT_ABLATION_GROUPS) == 11
@@ -159,8 +157,8 @@ def recorded_fits(monkeypatch):
     bias bytes, thread id) to the returned list."""
     fits, lock, real_train = [], threading.Lock(), evaluate.train
 
-    def recording_train(features, config, mask=DEFAULT_MASK):
-        model = real_train(features, config, mask)
+    def recording_train(features, config, mask=DEFAULT_MASK, dwt_config=DwtConfig()):
+        model = real_train(features, config, mask, dwt_config)
         fitted = model.weights.tobytes() + np.float64(model.bias).tobytes()
         with lock:
             fits.append((len(features[0]), tuple(mask), fitted, threading.get_ident()))

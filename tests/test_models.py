@@ -11,7 +11,7 @@ from gripwatch.errors import (
     SingleClassDataset,
     VersionMismatch,
 )
-from gripwatch.features import FEATURE_NAMES
+from gripwatch.features import FEATURE_NAMES, DwtConfig
 from gripwatch.models import (
     DEFAULT_MASK,
     FULL_MASK,
@@ -144,6 +144,7 @@ def test_zero_model_scores_zero_and_predicts_unstable():
         standardizer=Standardizer(np.zeros(6), np.ones(6)),
         feature_mask=FULL_MASK,
         train_config=TrainConfig(),
+        dwt_config=DwtConfig(),
     )
     phi = np.array([[3.0, -1, 2, 0.5, 7, 1]])
     assert predict_score_batch(model, phi).tolist() == [0.0]
@@ -291,6 +292,45 @@ def test_model_version_mismatch(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"format": "gripwatch-model", "version": 99}))
     with pytest.raises(VersionMismatch):
+        load_model(path)
+
+
+def saved_payload(tmp_path, dwt_config=DwtConfig()):
+    X, y = synthetic_dataset()
+    path = tmp_path / "model.json"
+    save_model(train((X, y), TrainConfig(max_iters=50), dwt_config=dwt_config), path)
+    return path, json.loads(path.read_text())
+
+
+def test_model_file_carries_the_window(tmp_path):
+    path, payload = saved_payload(tmp_path, DwtConfig(n_w=8))
+    assert (payload["version"], payload["n_w"]) == (2, 8)
+    assert set(payload["train_config"]) == {"kind", "l2_lambda", "max_iters", "seed", "hyper_grid"}
+    assert load_model(path).dwt_config == DwtConfig(n_w=8)
+
+
+@pytest.mark.parametrize("n_w", ["missing", None, 7, 0, 8.0, "8", True])
+def test_model_file_with_a_bad_window_is_a_parse_error(tmp_path, n_w):
+    path, payload = saved_payload(tmp_path)
+    if n_w == "missing":
+        del payload["n_w"]
+    else:
+        payload["n_w"] = n_w
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="n_w"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["means", "stds", "weights", "bias"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_model_file_with_a_non_finite_parameter_is_a_parse_error(tmp_path, key, value):
+    path, payload = saved_payload(tmp_path)
+    if key == "bias":
+        payload[key] = value
+    else:
+        payload[key][0] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="non-finite"):
         load_model(path)
 
 

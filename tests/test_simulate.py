@@ -167,6 +167,19 @@ def test_episode_log_reports_line_of_bad_frame(tmp_path):
         load_episode_log(path)
 
 
+@pytest.mark.parametrize("label", [0.7, 1.9, -1, "1", None])
+def test_episode_log_rejects_a_label_other_than_0_or_1(tmp_path, label):
+    path = tmp_path / "labels.jsonl"
+    header = {"format": "gripwatch-episode", "version": 1, "n_s": 1}
+    frames = [
+        {"t": t, "fingertip": "f", "taxels": [[1, 0, 0]], "label": lab}
+        for t, lab in ((0.0, 1), (0.1, label))
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in [header, *frames]) + "\n")
+    with pytest.raises(ParseError, match="line 3: label must be 0 or 1"):
+        load_episode_log(path)
+
+
 def test_episode_log_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

@@ -162,6 +162,17 @@ def test_geometry_file_rejects_non_rotation(tmp_path):
         load_geometry(path)
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_geometry_file_rejects_a_non_finite_rotation_entry(tmp_path, entry):
+    # numpy would warn on the way through the SO(3) check; the suite makes
+    # that warning an error
+    path = tmp_path / "geom.json"
+    rotations = f"[[1,0,0, 0,1,0, 0,0,1], [{entry},0,0, 0,1,0, 0,0,1]]"
+    path.write_text(f'{{"n_s": 2, "rotations": {rotations}}}\n')
+    with pytest.raises(InvariantViolation, match="NaN/Inf"):
+        load_geometry(path)
+
+
 def test_geometry_file_rejects_garbage(tmp_path):
     path = tmp_path / "geom.json"
     path.write_text("not json")
