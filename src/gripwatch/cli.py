@@ -1,5 +1,5 @@
-"""Command-line frontend: simulate, extract, train, eval, sweep, ablate,
-baseline, and the online detector.
+"""Command-line frontend: simulate, extract, train, eval, the study tables,
+and the online detector.
 
 Exit codes: 0 success, 1 usage error, 2 data error. A data error prints a
 single machine-parsable line on stderr:
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -47,6 +48,7 @@ FEATURES_FORMAT = "gripwatch-features"
 FEATURES_VERSION = 1
 FEATURE_KEYS = ("t", *FEATURE_NAMES, "label")  # one feature file record
 DETECT_READ_SIZE = 1 << 16
+STUDY_N_W = (4, 6, 8, 10, 12, 14)  # the window sweep of the study
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,12 +97,6 @@ def _load_dataset(directory):
     if not paths:
         raise ParseError(f"no episode*.jsonl files in {directory}")
     return [load_episode_log(p) for p in paths]
-
-
-def _parse_masks(spec: str):
-    if spec == "builtin":
-        return None  # ablation_study default
-    return [tuple(part.split(",")) for part in spec.split(";") if part]
 
 
 # --- subcommand implementations ---
@@ -160,41 +156,50 @@ def _cmd_eval(args):
     return 0
 
 
-def _cmd_sweep(args):
-    episodes = _load_dataset(args.dataset)
-    n_w_values = [int(v) for v in args.n_w.split(",")]
-    rows = ev.window_sweep(episodes, n_w_values, TrainConfig(seed=args.seed), seed=args.seed)
-    print(ev.format_sweep_table(rows))
+def _cmd_study(args):
+    """Every table of the study: held-out logreg and SVM, the window sweep,
+    the feature ablation and the energy baseline, on one split (seed 0)."""
+    start = time.perf_counter()
+    if args.dataset:
+        episodes = _load_dataset(args.dataset)
+        print(f"read {len(episodes)} episodes from {args.dataset}")
+    else:
+        print("generating 6 x 5 synthetic episodes ...")
+        episodes = generate_dataset(6, 5, EpisodeConfig(seed=args.seed or 0))
+
+    print("\n== held-out metrics (n_w=14, 80/20 sample split) ==")
+    heldout = {}
+    for kind in ("logreg", "svm"):
+        _, _, heldout[kind] = ev.train_and_evaluate(episodes, DwtConfig(), TrainConfig(kind=kind))
+        print(f"{kind:>6}: {ev.format_report(heldout[kind])}")
+
+    print("\n== window-length sweep (logistic regression) ==")
+    sweep = ev.window_sweep(episodes, STUDY_N_W, TrainConfig())
+    print(ev.format_sweep_table(sweep))
+
+    print("\n== feature-group ablation (logistic regression, n_w=14) ==")
+    ablation = ev.ablation_study(episodes, train_config=TrainConfig())
+    print(ev.format_ablation_table(ablation))
+
+    print("\n== detail-energy threshold baseline ==")
+    baseline = ev.energy_threshold_baseline(episodes)
+    print(f"threshold={baseline.threshold:.6g} degenerate={baseline.degenerate}")
+    print(f"  test: {ev.format_report(baseline.test_report)}")
+
     if args.report:
-        write_json(args.report, {"rows": [{"n_w": n_w, **r.to_dict()} for n_w, r in rows]})
-    return 0
-
-
-def _cmd_ablate(args):
-    episodes = _load_dataset(args.dataset)
-    masks = _parse_masks(args.masks)
-    rows = ev.ablation_study(episodes, masks=masks, train_config=TrainConfig(seed=args.seed), seed=args.seed)
-    print(ev.format_ablation_table(rows))
-    if args.report:
-        payload = {"rows": [{"features": list(groups), **r.to_dict()} for groups, r in rows]}
-        write_json(args.report, payload)
-    return 0
-
-
-def _cmd_baseline(args):
-    episodes = _load_dataset(args.dataset)
-    result = ev.energy_threshold_baseline(episodes, seed=args.seed)
-    print(f"threshold={result.threshold!r} degenerate={result.degenerate}")
-    print("train:", ev.format_report(result.train_report))
-    print("test: ", ev.format_report(result.test_report))
-    if args.report:
-        payload = {
-            "threshold": result.threshold,
-            "degenerate": result.degenerate,
-            "train": result.train_report.to_dict(),
-            "test": result.test_report.to_dict(),
+        record = {
+            "heldout": {kind: report.to_dict() for kind, report in heldout.items()},
+            "sweep": [{"n_w": n_w, **r.to_dict()} for n_w, r in sweep],
+            "ablation": [{"features": list(groups), **r.to_dict()} for groups, r in ablation],
+            "baseline": {
+                "threshold": baseline.threshold,
+                "degenerate": baseline.degenerate,
+                "train": baseline.train_report.to_dict(),
+                "test": baseline.test_report.to_dict(),
+            },
         }
-        write_json(args.report, payload)
+        write_json(args.report, record)
+    print(f"done in {time.perf_counter() - start:.1f}s", file=sys.stderr)
     return 0
 
 
@@ -297,25 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="window-size sweep")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--n-w", dest="n_w", default="4,6,8,10,12,14,16,18")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("study", help="print every table of the study")
+    # --seed defaults to None: argparse lets an option given at its default
+    # value through a mutually exclusive group, so "--seed 0" would pass
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--dataset", default=None, help="episode directory from simulate")
+    source.add_argument("--seed", type=int, default=None, help="seed of the 6x5 dataset (default 0)")
     p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("ablate", help="feature ablation study")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--masks", default="builtin")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("baseline", help="detail-energy threshold baseline")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("detect", help="online detection over a frame stream")
     p.add_argument("--model", required=True)

@@ -9,6 +9,7 @@ Rates with zero denominators are reported as None, never as 0.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,8 +176,13 @@ def _map_fits(fit, items) -> list:
     from concurrent.futures import ThreadPoolExecutor
 
     results = [None] * len(items)
+    # No helper finishes before every helper has started, so the pool cannot
+    # hand the next share to a helper that is already done: each share gets
+    # a thread of its own.
+    started = threading.Barrier(workers)
 
     def work(first):
+        started.wait()
         for i in range(first, len(items), workers):
             results[i] = fit(items[i])
 

@@ -5,11 +5,13 @@ import select
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gripwatch.cli import main
+from gripwatch.evaluate import DEFAULT_ABLATION_GROUPS
 from gripwatch.features import DwtConfig, batch_features
 from gripwatch.models import load_model, predict_score_batch
 from gripwatch.simulate import load_episode_log
@@ -92,26 +94,78 @@ def test_eval_reports_metrics(workspace, capsys):
     assert payload["acc"] > 80.0
 
 
-def test_sweep_table_shape(workspace, capsys):
-    rc = main(["sweep", "--dataset", str(workspace / "data"), "--n-w", "4,8"])
-    assert rc == 0
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 3 and out[0].split()[0] == "n_w"
+STUDY_RECORD = Path(__file__).parent / "data" / "study_record.json"
 
 
-def test_ablate_builtin_table(workspace, capsys):
-    report = workspace / "ablation.json"
-    rc = main(
-        ["ablate", "--dataset", str(workspace / "data"), "--report", str(report)]
-    )
-    assert rc == 0
-    assert len(json.loads(report.read_text())["rows"]) == 11
+def _pinned(record):
+    """What the study record pins: the keys of every row, its confusion
+    counts, and the baseline threshold as stored. The percentages follow
+    from the counts."""
+
+    def counts(report):
+        return sorted(report), report["confusion"]
+
+    baseline = record["baseline"]
+    return {
+        "heldout": {kind: counts(report) for kind, report in record["heldout"].items()},
+        "sweep": [(row["n_w"], counts(row)) for row in record["sweep"]],
+        "ablation": [(row["features"], counts(row)) for row in record["ablation"]],
+        "baseline": (
+            sorted(baseline),
+            baseline["threshold"],
+            baseline["degenerate"],
+            counts(baseline["train"]),
+            counts(baseline["test"]),
+        ),
+    }
 
 
-def test_baseline_report(workspace, capsys):
-    rc = main(["baseline", "--dataset", str(workspace / "data")])
-    assert rc == 0
-    assert "threshold=" in capsys.readouterr().out
+def test_study_matches_the_pinned_record(workspace, tmp_path, capsys):
+    record = tmp_path / "study.json"
+    assert main(["study", "--dataset", str(workspace / "data"), "--report", str(record)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("done in ") and captured.err.count("\n") == 1
+    payload = json.loads(record.read_text())
+    pinned = json.loads(STUDY_RECORD.read_text())
+    assert sorted(payload) == ["ablation", "baseline", "heldout", "sweep"]
+    assert _pinned(payload) == _pinned(pinned)
+    assert [row["n_w"] for row in payload["sweep"]] == [4, 6, 8, 10, 12, 14]
+    assert [tuple(row["features"]) for row in payload["ablation"]] == DEFAULT_ABLATION_GROUPS
+
+    out = captured.out.splitlines()
+    assert out[0] == f"read 4 episodes from {workspace / 'data'}"
+    sweep = out.index(" n_w    FPR    FNR    FDR    Acc")
+    assert [int(line.split()[0]) for line in out[sweep + 1 : sweep + 7]] == [4, 6, 8, 10, 12, 14]
+    threshold = payload["baseline"]["threshold"]
+    assert f"threshold={threshold:.6g} degenerate=False" in out
+
+
+@pytest.mark.parametrize("empty", ["missing", "empty"])
+def test_study_without_episodes_is_a_data_error(tmp_path, capsys, empty):
+    dataset = tmp_path / empty
+    if empty == "empty":
+        dataset.mkdir()
+    assert main(["study", "--dataset", str(dataset)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: ParseError: no episode*.jsonl files in {dataset}\n"
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_study_takes_a_dataset_or_a_seed_not_both(tmp_path, capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--dataset", str(tmp_path), "--seed", seed])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: argument --seed: not allowed with argument --dataset" in captured.err
+
+
+@pytest.mark.parametrize("command", ["sweep", "ablate", "baseline"])
+def test_study_subcommands_are_gone(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dataset", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "usage" in capsys.readouterr().err
 
 
 def test_detect_on_episode_file(workspace, capsys):
@@ -492,6 +546,7 @@ def test_commands_are_byte_deterministic(tmp_path):
         assert main(
             ["train", "--features", str(out / "f.jsonl"), "--out", str(out / "m.json")]
         ) == 0
+        assert main(["study", "--dataset", str(out), "--report", str(out / "study.json")]) == 0
     for name in [p.name for p in out1.iterdir()]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

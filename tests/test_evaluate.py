@@ -203,6 +203,12 @@ def test_sweep_and_ablation_identical_on_one_and_three_cpus(
     assert results[1] == results[3]
 
 
+def test_each_share_runs_on_its_own_thread(monkeypatch):
+    with_cpus(monkeypatch, 3)
+    for _ in range(50):
+        assert len(set(evaluate._map_fits(lambda i: threading.get_ident(), range(3)))) == 3
+
+
 def test_cpu_count_fallback_without_affinity(small_dataset, recorded_fits, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
