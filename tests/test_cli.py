@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -138,6 +140,48 @@ def test_study_matches_the_pinned_record(workspace, tmp_path, capsys):
     assert [int(line.split()[0]) for line in out[sweep + 1 : sweep + 7]] == [4, 6, 8, 10, 12, 14]
     threshold = payload["baseline"]["threshold"]
     assert f"threshold={threshold:.6g} degenerate=False" in out
+
+
+@pytest.fixture(scope="module")
+def study(workspace):
+    """One `gripwatch study` run on the workspace dataset: its stdout lines
+    and its report record."""
+    record = workspace / "study.json"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["study", "--dataset", str(workspace / "data"), "--report", str(record)])
+    assert rc == 0
+    return out.getvalue().splitlines(), json.loads(record.read_text())
+
+
+def _table_after(out, title):
+    """The lines of the table printed under `title`, header first."""
+    start = out.index(title) + 1
+    end = next((i for i in range(start, len(out)) if not out[i]), len(out))
+    return out[start:end]
+
+
+def test_sweep_table_shape(study):
+    out, payload = study
+    table = _table_after(out, "== window-length sweep (logistic regression) ==")
+    assert table[0].split() == ["n_w", "FPR", "FNR", "FDR", "Acc"]
+    assert len(table) == 1 + len(payload["sweep"]) == 7
+    assert all(len(line.split()) == 5 for line in table[1:])
+
+
+def test_ablate_builtin_table(study):
+    out, payload = study
+    assert len(payload["ablation"]) == 11
+    table = _table_after(out, "== feature-group ablation (logistic regression, n_w=14) ==")
+    assert len(table) == 1 + 11
+
+
+def test_baseline_report(study):
+    out, payload = study
+    table = _table_after(out, "== detail-energy threshold baseline ==")
+    assert table[0].startswith("threshold=")
+    assert table[1].startswith("  test: tp=")
+    assert payload["baseline"]["threshold"] > 0
 
 
 @pytest.mark.parametrize("empty", ["missing", "empty"])
