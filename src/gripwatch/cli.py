@@ -49,6 +49,7 @@ FEATURES_VERSION = 1
 FEATURE_KEYS = ("t", *FEATURE_NAMES, "label")  # one feature file record
 DETECT_READ_SIZE = 1 << 16
 STUDY_N_W = (4, 6, 8, 10, 12, 14)  # the window sweep of the study
+DEFAULT_OBJECTS, DEFAULT_EPISODES = 6, 5  # the dataset of simulate and study
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,12 +161,12 @@ def _cmd_study(args):
     """Every table of the study: held-out logreg and SVM, the window sweep,
     the feature ablation and the energy baseline, on one split (seed 0)."""
     start = time.perf_counter()
-    if args.dataset:
+    if args.dataset is not None:
         episodes = _load_dataset(args.dataset)
         print(f"read {len(episodes)} episodes from {args.dataset}")
     else:
-        print("generating 6 x 5 synthetic episodes ...")
-        episodes = generate_dataset(6, 5, EpisodeConfig(seed=args.seed or 0))
+        print(f"generating {DEFAULT_OBJECTS} x {DEFAULT_EPISODES} synthetic episodes ...")
+        episodes = generate_dataset(DEFAULT_OBJECTS, DEFAULT_EPISODES, EpisodeConfig(seed=0))
 
     print("\n== held-out metrics (n_w=14, 80/20 sample split) ==")
     heldout = {}
@@ -274,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate synthetic labeled episodes")
-    p.add_argument("--objects", type=int, default=6)
-    p.add_argument("--episodes", type=int, default=5)
+    p.add_argument("--objects", type=int, default=DEFAULT_OBJECTS)
+    p.add_argument("--episodes", type=int, default=DEFAULT_EPISODES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -303,11 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("study", help="print every table of the study")
-    # --seed defaults to None: argparse lets an option given at its default
-    # value through a mutually exclusive group, so "--seed 0" would pass
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--dataset", default=None, help="episode directory from simulate")
-    source.add_argument("--seed", type=int, default=None, help="seed of the 6x5 dataset (default 0)")
+    p.add_argument("--dataset", default=None, help="episode directory (default: seed 0, in memory)")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_study)
 

@@ -187,8 +187,14 @@ def _map_fits(fit, items) -> list:
             results[i] = fit(items[i])
 
     with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(work, first) for first in range(1, workers)]
-        work(0)
+        try:
+            helpers = [pool.submit(work, first) for first in range(1, workers)]
+            work(0)
+        except BaseException:
+            # A party that never arrives would keep the started helpers at
+            # the barrier, and the pool's shutdown would wait on them.
+            started.abort()
+            raise
         for helper in helpers:
             helper.result()
     return results

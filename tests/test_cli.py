@@ -122,36 +122,32 @@ def _pinned(record):
     }
 
 
-def test_study_matches_the_pinned_record(workspace, tmp_path, capsys):
-    record = tmp_path / "study.json"
-    assert main(["study", "--dataset", str(workspace / "data"), "--report", str(record)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err.startswith("done in ") and captured.err.count("\n") == 1
-    payload = json.loads(record.read_text())
+@pytest.fixture(scope="module")
+def study(workspace):
+    """One `gripwatch study` run on the workspace dataset: its stdout lines,
+    its stderr and its report record."""
+    record = workspace / "study.json"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["study", "--dataset", str(workspace / "data"), "--report", str(record)])
+    assert rc == 0
+    return out.getvalue().splitlines(), err.getvalue(), json.loads(record.read_text())
+
+
+def test_study_matches_the_pinned_record(workspace, study):
+    out, err, payload = study
+    assert err.startswith("done in ") and err.count("\n") == 1
     pinned = json.loads(STUDY_RECORD.read_text())
     assert sorted(payload) == ["ablation", "baseline", "heldout", "sweep"]
     assert _pinned(payload) == _pinned(pinned)
     assert [row["n_w"] for row in payload["sweep"]] == [4, 6, 8, 10, 12, 14]
     assert [tuple(row["features"]) for row in payload["ablation"]] == DEFAULT_ABLATION_GROUPS
 
-    out = captured.out.splitlines()
     assert out[0] == f"read 4 episodes from {workspace / 'data'}"
     sweep = out.index(" n_w    FPR    FNR    FDR    Acc")
     assert [int(line.split()[0]) for line in out[sweep + 1 : sweep + 7]] == [4, 6, 8, 10, 12, 14]
     threshold = payload["baseline"]["threshold"]
     assert f"threshold={threshold:.6g} degenerate=False" in out
-
-
-@pytest.fixture(scope="module")
-def study(workspace):
-    """One `gripwatch study` run on the workspace dataset: its stdout lines
-    and its report record."""
-    record = workspace / "study.json"
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["study", "--dataset", str(workspace / "data"), "--report", str(record)])
-    assert rc == 0
-    return out.getvalue().splitlines(), json.loads(record.read_text())
 
 
 def _table_after(out, title):
@@ -162,7 +158,7 @@ def _table_after(out, title):
 
 
 def test_sweep_table_shape(study):
-    out, payload = study
+    out, _, payload = study
     table = _table_after(out, "== window-length sweep (logistic regression) ==")
     assert table[0].split() == ["n_w", "FPR", "FNR", "FDR", "Acc"]
     assert len(table) == 1 + len(payload["sweep"]) == 7
@@ -170,38 +166,31 @@ def test_sweep_table_shape(study):
 
 
 def test_ablate_builtin_table(study):
-    out, payload = study
+    out, _, payload = study
     assert len(payload["ablation"]) == 11
     table = _table_after(out, "== feature-group ablation (logistic regression, n_w=14) ==")
     assert len(table) == 1 + 11
 
 
 def test_baseline_report(study):
-    out, payload = study
+    out, _, payload = study
     table = _table_after(out, "== detail-energy threshold baseline ==")
     assert table[0].startswith("threshold=")
     assert table[1].startswith("  test: tp=")
     assert payload["baseline"]["threshold"] > 0
 
 
-@pytest.mark.parametrize("empty", ["missing", "empty"])
-def test_study_without_episodes_is_a_data_error(tmp_path, capsys, empty):
-    dataset = tmp_path / empty
+@pytest.mark.parametrize("empty", ["missing", "empty", "current"])
+def test_study_without_episodes_is_a_data_error(tmp_path, capsys, monkeypatch, empty):
+    """`--dataset ''` names the current directory, not the default dataset."""
+    monkeypatch.chdir(tmp_path)
+    dataset = "" if empty == "current" else str(tmp_path / empty)
     if empty == "empty":
-        dataset.mkdir()
-    assert main(["study", "--dataset", str(dataset)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: ParseError: no episode*.jsonl files in {dataset}\n"
-
-
-@pytest.mark.parametrize("seed", ["0", "1"])
-def test_study_takes_a_dataset_or_a_seed_not_both(tmp_path, capsys, seed):
-    with pytest.raises(SystemExit) as exc:
-        main(["study", "--dataset", str(tmp_path), "--seed", seed])
-    assert exc.value.code == 1
+        Path(dataset).mkdir()
+    assert main(["study", "--dataset", dataset]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "usage error: argument --seed: not allowed with argument --dataset" in captured.err
+    assert captured.err == f"error: ParseError: no episode*.jsonl files in {dataset}\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "ablate", "baseline"])

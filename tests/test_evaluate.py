@@ -209,6 +209,23 @@ def test_each_share_runs_on_its_own_thread(monkeypatch):
         assert len(set(evaluate._map_fits(lambda i: threading.get_ident(), range(3)))) == 3
 
 
+def test_a_helper_that_cannot_start_fails_the_map_not_hangs(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    with_cpus(monkeypatch, 3)
+    real_submit, calls = ThreadPoolExecutor.submit, []
+
+    def submit(pool, *args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("can't start new thread")
+        return real_submit(pool, *args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        evaluate._map_fits(lambda i: i, range(3))
+
+
 def test_cpu_count_fallback_without_affinity(small_dataset, recorded_fits, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
