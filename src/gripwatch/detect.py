@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .features import StreamingExtractor
 from .models import LinearModel, predict_score_batch, sigmoid
 from .tactile import FingertipGeometry, TaxelFrame, aggregate_tip_force
@@ -27,6 +28,11 @@ UNSTABLE = "unstable"
 TAU_CALIBRATION_FRAMES = 50
 TAU_NOISE_MULTIPLIER = 3.0
 TAU_FLOOR = 1e-9
+
+
+def _check_tau(tau: float | None) -> None:
+    if tau is not None and not 0 <= tau < np.inf:  # None: calibrate tau
+        raise InvalidConfig(f"tau must be finite and >= 0, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,7 @@ class FingertipDetector:
     """Sequential detector for a single fingertip stream. Not thread-safe."""
 
     def __init__(self, model: LinearModel, geometry: FingertipGeometry, tau: float | None = None):
+        _check_tau(tau)
         self.model = model
         self.geometry = geometry
         self.tau = tau
@@ -100,6 +107,7 @@ class MultiFingerDetector:
     """Routes interleaved frames to one independent detector per fingertip."""
 
     def __init__(self, model: LinearModel, geometry: FingertipGeometry, tau: float | None = None):
+        _check_tau(tau)  # here too: the fingertip detectors are built at their first frame
         self._model = model
         self._geometry = geometry
         self._tau = tau

@@ -1,9 +1,9 @@
 """Linear classifiers (logistic regression, linear SVM) over feature vectors.
 
-Training is deterministic: zero initialization, full-batch descent, fixed
-schedules. Feature columns follow features.FEATURE_NAMES; a boolean mask
-selects the active subset (the moving-average column is masked off by
-default).
+Both kinds are fitted by one deterministic loop, full-batch gradient descent
+with Armijo backtracking from zero, on a smooth loss: the logistic loss or the
+squared hinge. Feature columns follow features.FEATURE_NAMES; a boolean mask
+selects the active subset (the moving-average column is masked off by default).
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ MODEL_VERSION = 2
 DEFAULT_MASK = (True, True, True, True, False, True)
 FULL_MASK = (True,) * 6
 
-TOLERANCE = 1e-8  # logreg stops once the gradient norm is at most this
-SVM_STEP = 0.1  # base step for the 1/sqrt(t) subgradient schedule
+TOLERANCE = 1e-8  # training of either kind stops once the gradient norm is at most this
 CV_FOLDS = 5
 
 
@@ -70,8 +69,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.kind not in ("logreg", "svm"):
             raise InvariantViolation(f"unknown model kind {self.kind!r}")
-        if self.l2_lambda < 0 or self.max_iters < 1:
-            raise InvariantViolation("l2_lambda must be >= 0 and max_iters >= 1")
+        lambdas = (self.l2_lambda, *(self.hyper_grid or ()))
+        if not all(0 <= lam < np.inf for lam in lambdas) or self.max_iters < 1:
+            raise InvariantViolation(f"l2 values {lambdas} must be finite and >= 0, max_iters >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,23 @@ def sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _train_logreg(X, y, config: TrainConfig):
+def svm_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda: float):
+    """Mean squared hinge max(0, 1 - s z)^2, s = 2y - 1, plus L2 on the weights;
+    the L2-loss linear SVM. Packs theta and returns like logreg_loss_grad."""
+    w, b = theta[:-1], theta[-1]
+    s = 2.0 * y - 1.0
+    slack = np.maximum(1.0 - s * (X @ w + b), 0.0)
+    loss = float(np.mean(slack * slack) + 0.5 * l2_lambda * w @ w)
+    coeff = (-2.0 / len(y)) * s * slack
+    grad = np.concatenate([X.T @ coeff + l2_lambda * w, [coeff.sum()]])
+    return loss, grad
+
+
+def _descend(loss_grad, X, y, config: TrainConfig):
+    """Armijo-backtracked gradient descent on ``loss_grad`` from theta = 0; returns (w, b)."""
     y = y.astype(float)
     theta = np.zeros(X.shape[1] + 1)
-    loss, grad = logreg_loss_grad(theta, X, y, config.l2_lambda)
+    loss, grad = loss_grad(theta, X, y, config.l2_lambda)
     for _ in range(config.max_iters):
         gnorm2 = grad @ grad
         if np.sqrt(gnorm2) <= TOLERANCE:
@@ -171,41 +184,12 @@ def _train_logreg(X, y, config: TrainConfig):
         step = 1.0
         for _ in range(60):  # Armijo backtracking
             candidate = theta - step * grad
-            new_loss, new_grad = logreg_loss_grad(candidate, X, y, config.l2_lambda)
+            new_loss, new_grad = loss_grad(candidate, X, y, config.l2_lambda)
             if new_loss <= loss - 0.5 * step * gnorm2:
                 break
             step *= 0.5
         theta, loss, grad = candidate, new_loss, new_grad
     return theta[:-1], float(theta[-1])
-
-
-def _train_svm(X, y, config: TrainConfig):
-    """Subgradient descent on mean hinge loss with averaged second-half iterates."""
-    s = np.where(y == 1, 1.0, -1.0)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    half = config.max_iters // 2
-    w_sum = np.zeros_like(w)
-    b_sum = 0.0
-    averaged = 0
-    for t in range(config.max_iters):
-        margins = s * (X @ w + b)
-        violating = margins < 1.0
-        if np.any(violating):
-            coeff = -(s[violating] / len(s))
-            grad_w = X[violating].T @ coeff + config.l2_lambda * w
-            grad_b = coeff.sum()
-        else:
-            grad_w = config.l2_lambda * w
-            grad_b = 0.0
-        step = SVM_STEP / np.sqrt(t + 1.0)
-        w = w - step * grad_w
-        b = b - step * grad_b
-        if t >= half:
-            w_sum += w
-            b_sum += b
-            averaged += 1
-    return w_sum / averaged, float(b_sum / averaged)
 
 
 def train(
@@ -243,10 +227,8 @@ def train(
 
     standardizer = fit_standardizer(X_full, mask)
     Xs = standardizer.transform(X_full[:, np.asarray(mask, dtype=bool)])
-    if config.kind == "logreg":
-        w, b = _train_logreg(Xs, y, config)
-    else:
-        w, b = _train_svm(Xs, y, config)
+    loss_grad = logreg_loss_grad if config.kind == "logreg" else svm_loss_grad
+    w, b = _descend(loss_grad, Xs, y, config)
     return LinearModel(config.kind, w, b, standardizer, mask, config, dwt_config)
 
 

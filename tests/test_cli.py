@@ -96,6 +96,9 @@ def test_eval_reports_metrics(workspace, capsys):
     assert payload["acc"] > 80.0
 
 
+# The record of `gripwatch study` on the workspace dataset. To regenerate it:
+#   gripwatch simulate --objects 2 --episodes 2 --seed 7 --out D
+#   gripwatch study --dataset D --report tests/data/study_record.json
 STUDY_RECORD = Path(__file__).parent / "data" / "study_record.json"
 
 
@@ -399,6 +402,36 @@ def test_train_rejects_unlabeled_features(workspace, tmp_path, capsys):
     )
     assert rc == 2
     assert "unlabeled features" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--l2", "nan"], ["--l2", "inf"], ["--grid", "1e-4,nan"], ["--grid", "1e-4,-1"]],
+    ids=lambda option: " ".join(option),
+)
+def test_train_refuses_a_non_finite_lambda(workspace, tmp_path, capsys, option):
+    out = tmp_path / "m.json"
+    assert main(["train", "--features", str(workspace / "features.jsonl"), *option, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvariantViolation: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_train_grid_that_is_not_a_number_is_a_usage_error(workspace, tmp_path, capsys):
+    argv = ["train", "--features", str(workspace / "features.jsonl"), "--grid", "1e-4,x"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "m.json")])
+    assert exc.value.code == 1
+    assert "usage error: argument --grid: not a comma list of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-0.5"])
+def test_detect_refuses_a_bad_tau_before_any_frame(workspace, capsys, tau):
+    episode = str(sorted((workspace / "data").glob("episode*.jsonl"))[0])
+    assert main([*_detect_argv(workspace, f"--tau={tau}"), "--in", episode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidConfig: ") and captured.err.count("\n") == 1
 
 
 def test_labels_other_than_zero_and_one_are_data_errors(workspace, tmp_path, capsys):

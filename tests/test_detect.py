@@ -6,9 +6,10 @@ from gripwatch.detect import (
     STABLE,
     UNSTABLE,
     FingertipDetector,
+    MultiFingerDetector,
     detect_stream,
 )
-from gripwatch.errors import GripwatchError, NonFiniteInput, OutOfOrderTimestamp
+from gripwatch.errors import GripwatchError, InvalidConfig, NonFiniteInput, OutOfOrderTimestamp
 from gripwatch.features import DwtConfig, batch_features
 from gripwatch.models import (
     DEFAULT_MASK,
@@ -62,6 +63,13 @@ def test_explicit_tau_gate(model, geometry):
     out = list(detect_stream(zero_frames(40), model, geometry, tau=0.5))
     assert len(out) == 40 - 13
     assert all(d.state == NO_CONTACT and d.p_stable is None for d in out)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("detector", [FingertipDetector, MultiFingerDetector])
+def test_a_tau_that_is_not_a_finite_number_at_least_zero_is_refused(model, geometry, detector, tau):
+    with pytest.raises(InvalidConfig, match="tau"):
+        detector(model, geometry, tau=tau)
 
 
 def test_locked_phase_classified_stable(model, geometry, episodes):

@@ -15,6 +15,7 @@ from gripwatch.features import FEATURE_NAMES, DwtConfig
 from gripwatch.models import (
     DEFAULT_MASK,
     FULL_MASK,
+    TOLERANCE,
     TrainConfig,
     fit_standardizer,
     load_model,
@@ -24,6 +25,7 @@ from gripwatch.models import (
     predict_score_batch,
     sigmoid,
     save_model,
+    svm_loss_grad,
     train,
 )
 
@@ -106,6 +108,25 @@ def test_svm_hard_margin_solution():
     model = train((X, y), config, mask=mask_from_names(["fa"]))
     assert model.weights[0] == pytest.approx(1.0, abs=0.1)
     assert model.bias == pytest.approx(0.0, abs=0.05)
+    # the fit is a stationary point of the squared hinge, not a point near one
+    theta = np.append(model.weights, model.bias)
+    _, grad = svm_loss_grad(theta, model.standardizer.transform(X[:, [0]]), y, config.l2_lambda)
+    assert np.linalg.norm(grad) <= TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("l2_lambda", float("nan")),
+        ("l2_lambda", float("inf")),
+        ("hyper_grid", (1e-4, float("nan"))),
+        ("hyper_grid", (1e-4, float("inf"))),
+        ("hyper_grid", (1e-4, -1.0)),
+    ],
+)
+def test_train_config_refuses_a_non_finite_or_negative_lambda(field, value):
+    with pytest.raises(InvariantViolation):
+        TrainConfig(**{field: value})
 
 
 def test_single_class_dataset_rejected():
@@ -157,27 +178,34 @@ def test_sigmoid_reference_value():
     assert sigmoid(2.0) == pytest.approx(0.8807970779778823, abs=1e-12)
 
 
+def relative_gradient_error(loss_grad, X, y, theta, h=1e-5):
+    """Relative distance of loss_grad's gradient at theta from central differences."""
+    _, grad = loss_grad(theta, X, y, 1e-4)
+    numeric = np.empty_like(grad)
+    for i in range(len(theta)):
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        numeric[i] = (loss_grad(up, X, y, 1e-4)[0] - loss_grad(down, X, y, 1e-4)[0]) / (2 * h)
+    return np.linalg.norm(grad - numeric) / max(
+        np.linalg.norm(grad), np.linalg.norm(numeric), 1e-8
+    )
+
+
 def test_gradient_matches_finite_differences():
     X, y = synthetic_dataset(n=200, seed=1)
-    Xm = X[:, :5]
     rng = np.random.default_rng(2)
-    h = 1e-5
     for _ in range(100):
         theta = rng.normal(scale=2.0, size=6)
-        _, grad = logreg_loss_grad(theta, Xm, y, 1e-4)
-        numeric = np.empty_like(grad)
-        for i in range(len(theta)):
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            numeric[i] = (
-                logreg_loss_grad(up, Xm, y, 1e-4)[0]
-                - logreg_loss_grad(down, Xm, y, 1e-4)[0]
-            ) / (2 * h)
-        rel = np.linalg.norm(grad - numeric) / max(
-            np.linalg.norm(grad), np.linalg.norm(numeric), 1e-8
-        )
-        assert rel < 1e-6
+        assert relative_gradient_error(logreg_loss_grad, X[:, :5], y, theta) < 1e-6
+
+
+def test_svm_loss_gradient_matches_finite_differences():
+    X, y = synthetic_dataset(n=200, seed=1)
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        theta = rng.normal(scale=0.5, size=6)
+        assert relative_gradient_error(svm_loss_grad, X[:, :5], y, theta) < 1e-6
 
 
 def test_loss_matches_logaddexp_reference_without_fp_errors():
