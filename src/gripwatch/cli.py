@@ -12,15 +12,19 @@ on with the next one:
     error: frame <N>: <ExceptionClass>: <message>
 
 N is the 1-based line number in the input stream, counting blank lines and
-the header, and is the first number on the line. ``detect`` flushes its
-output whenever it has handled every complete line read so far, so each
-detection is delivered before the detector waits for more input.
+the header, and is the first number on the line. ``detect`` reads its
+input in chunks of up to 64 KiB. A chunk shorter than that holds everything
+written so far, so each detection of its lines is flushed as soon as its line
+is handled; a full chunk is a backlog and is flushed once, after its last
+line. Either way every detection is delivered before the detector waits for
+more input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -223,15 +227,20 @@ def _cmd_detect(args):
     with (
         open(path, "rb") if path else nullcontext(sys.stdin.buffer)
     ) as source, np.errstate(over="ignore", invalid="ignore"):
-        # read1 returns whatever input is available, so the flush after the
-        # lines of one read delivers every detection before the next read
-        # can block.
+        # read1 returns whatever input is available. A read shorter than
+        # DETECT_READ_SIZE has caught up with the input, so each detection of
+        # its lines is flushed as soon as its line is handled; a full read is
+        # a backlog, flushed once after its last line. Either way every
+        # detection is delivered before the next read can block.
         while chunk := source.read1(DETECT_READ_SIZE):
+            caught_up = len(chunk) < DETECT_READ_SIZE
             *lines, tail = (tail + chunk).split(b"\n")
             for line in lines:
                 lineno += 1
-                _detect_line(detector, lineno, line)
-            sys.stdout.flush()
+                if _detect_line(detector, lineno, line) and caught_up:
+                    sys.stdout.flush()
+            if not caught_up:
+                sys.stdout.flush()
         if tail:
             _detect_line(detector, lineno + 1, tail)
         _write_detections(detector.finish())
@@ -240,13 +249,14 @@ def _cmd_detect(args):
 
 
 def _detect_line(detector, lineno, line):
+    """Handle one input line; return how many detections it wrote."""
     line = line.strip()
     if not line:
-        return
+        return 0
     try:
         record = json.loads(line)
         if isinstance(record, dict) and "format" in record:  # episode header line
-            return
+            return 0
         frame = TaxelFrame(
             float(record["t"]),
             str(record["fingertip"]),
@@ -256,8 +266,9 @@ def _detect_line(detector, lineno, line):
     # ValueError covers invalid JSON and invalid UTF-8.
     except (GripwatchError, KeyError, TypeError, ValueError) as exc:
         print(f"error: frame {lineno}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return
+        return 0
     _write_detections(detections)
+    return len(detections)
 
 
 def _write_detections(detections):
@@ -331,6 +342,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GripwatchError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # The reader of stdout is gone: point stdout at the null device,
+            # so that the flush at exit does not fail again on what is still
+            # buffered.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gripwatch.cli import main
+from gripwatch.cli import DETECT_READ_SIZE, main
 from gripwatch.evaluate import DEFAULT_ABLATION_GROUPS
 from gripwatch.features import DwtConfig, batch_features
 from gripwatch.models import load_model, predict_score_batch
@@ -310,20 +310,38 @@ def test_short_stream_with_auto_tau_flushes_at_end(workspace, capsys, tmp_path):
 
 
 class _Pieces:
-    """Stands in for stdin's binary buffer, returning one piece per read1."""
+    """Stands in for stdin's binary buffer, returning one piece per read1;
+    with ``events``, logs ("read", size) there for each read."""
 
-    def __init__(self, data, cuts):
+    def __init__(self, data, cuts, events=None):
         bounds = [0, *cuts, len(data)]
         self._pieces = iter(data[a:b] for a, b in zip(bounds, bounds[1:]))
+        self._events = events
 
     def read1(self, size):
-        return next(self._pieces, b"")
+        piece = next(self._pieces, b"")
+        if self._events is not None:
+            self._events.append(("read", len(piece)))
+        return piece
+
+
+class _LoggedStdout:
+    """Stands in for stdout, logging each write and flush in ``events``."""
+
+    def __init__(self, events):
+        self._events = events
+
+    def write(self, text):
+        self._events.append(("write", text))
+
+    def flush(self):
+        self._events.append(("flush",))
 
 
 def test_detect_output_does_not_depend_on_read_boundaries(
     workspace, capsys, monkeypatch, tmp_path
 ):
-    lines = _episode_lines(workspace)[:60]
+    lines = _episode_lines(workspace)[:100]
     lines[20:20] = [b"", b"{broken", b'{"t": 0.0, "fingertip": "ft0"}']
     data = b"\n".join(lines) + b"\n"
     results = []
@@ -346,6 +364,20 @@ def test_detect_output_does_not_depend_on_read_boundaries(
     with monkeypatch.context() as patch:
         patch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Pieces(data, cuts)))
         run()
+    # short reads, then two full reads in a row (a backlog), then short reads
+    start = int(rng.integers(1_000, 20_000))
+    end = start + 2 * DETECT_READ_SIZE
+    assert end < len(data)
+    mixed = [
+        *sorted(rng.choice(np.arange(1, start), size=10, replace=False).tolist()),
+        start,
+        start + DETECT_READ_SIZE,
+        end,
+        *sorted(rng.choice(np.arange(end + 1, len(data)), size=40, replace=False).tolist()),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Pieces(data, mixed)))
+        run()
     # the same pieces written one by one to a real pipe
     proc = subprocess.Popen(
         [sys.executable, "-m", "gripwatch.cli", *_detect_argv(workspace)],
@@ -361,8 +393,47 @@ def test_detect_output_does_not_depend_on_read_boundaries(
     numbers = [int(ERROR_LINE.match(line)[1]) for line in err.decode().splitlines()]
     results.append((out.decode(), numbers))
     assert results[0][1] == [22, 23]
-    assert len(results[0][0].splitlines()) == 59 - 13
-    assert results[1:] == [results[0]] * 3
+    assert len(results[0][0].splitlines()) == 99 - 13
+    assert results[1:] == [results[0]] * 4
+
+
+def test_detect_flushes_each_detection_of_a_short_read(workspace, capsys, monkeypatch, tmp_path):
+    frames = _episode_lines(workspace)
+    # one line per short read: the header, 13 warm-up frames, then detections
+    # around a blank line and a bad one
+    head = [*frames[:20], b"", b"{broken", frames[20]]
+    wrote = [False] * 14 + [True] * 6 + [False, False, True]
+    lines = head + frames[21:120]
+    data = b"\n".join(lines) + b"\n"
+    ends = np.cumsum([len(line) + 1 for line in lines]).tolist()
+    full = ends[len(head) - 1] + DETECT_READ_SIZE  # one full read after the head
+    cuts = [*ends[: len(head)], full, *(e for e in ends if full < e < len(data))]
+    whole = tmp_path / "whole.jsonl"
+    whole.write_bytes(data)
+    assert main(_detect_argv(workspace, "--tau", "0.5", "--in", str(whole))) == 0
+    expected = capsys.readouterr().out
+
+    events = []
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Pieces(data, cuts, events)))
+        patch.setattr(sys, "stdout", _LoggedStdout(events))
+        assert main(_detect_argv(workspace, "--tau", "0.5")) == 0
+    assert "".join(event[1] for event in events if event[0] == "write") == expected
+    reads = []  # (size, the writes and flushes that followed that read)
+    for event in events:
+        if event[0] == "read":
+            reads.append((event[1], []))
+        else:
+            reads[-1][1].append(event[0])
+    for (size, calls), detection in zip(reads, wrote):
+        assert size < DETECT_READ_SIZE
+        assert calls == (["write", "flush"] if detection else [])
+    size, calls = reads[len(head)]
+    assert size == DETECT_READ_SIZE
+    assert calls == ["write"] * (len(calls) - 1) + ["flush"] and len(calls) > 1
+    for size, calls in reads[len(head) + 1 : -1]:
+        assert 0 < size < DETECT_READ_SIZE and calls == ["write", "flush"]
+    assert reads[-1] == (0, ["flush"])  # end of input, then the final flush
 
 
 def test_detect_delivers_each_detection_before_the_next_frame(workspace):
@@ -386,6 +457,36 @@ def test_detect_delivers_each_detection_before_the_next_frame(workspace):
             assert json.loads(detection)["t"] == json.loads(line)["t"]
         proc.stdin.close()
         assert proc.wait(timeout=30) == 0
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_detect_exits_with_one_error_line_when_its_reader_goes_away(workspace, source):
+    episode = sorted((workspace / "data").glob("episode*.jsonl"))[0]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    extra = ["--in", str(episode)] if source == "file" else []
+    argv = [sys.executable, "-m", "gripwatch.cli", *_detect_argv(workspace, "--tau", "0.5", *extra)]
+    stdin = subprocess.PIPE if source == "stdin" else subprocess.DEVNULL
+    lines = iter(episode.read_bytes().splitlines(keepends=True))
+    # unbuffered, so that a write to detect's stdin after it exited leaves
+    # nothing behind for the close to flush
+    with subprocess.Popen(
+        argv, bufsize=0, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        if source == "stdin":
+            while not select.select([proc.stdout], [], [], 0.01)[0]:
+                proc.stdin.write(next(lines))
+        assert json.loads(proc.stdout.readline())["state"]
+        # the file's detections are several times a pipe's capacity, so detect
+        # cannot have written them all before this close
+        proc.stdout.close()
+        if source == "stdin":
+            with contextlib.suppress(BrokenPipeError):
+                for line in lines:
+                    proc.stdin.write(line)
+            proc.stdin.close()
+        assert proc.wait(timeout=60) == 2
+        err = proc.stderr.read().decode()
+    assert re.fullmatch(r"error: BrokenPipeError: [^\n]*\n", err), err
 
 
 def test_train_rejects_unlabeled_features(workspace, tmp_path, capsys):
