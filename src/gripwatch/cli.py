@@ -63,13 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _float_list(text):
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
-
-
 def _write_features(path, rows, n_w):
     """Write (t, X, y) feature rows, one JSON line per window."""
     header = {"format": FEATURES_FORMAT, "version": FEATURES_VERSION, "n_w": n_w}
@@ -146,7 +139,7 @@ def _cmd_extract(args):
 def _cmd_train(args):
     X, y, dwt_config = _read_features(args.features)
     mask = mask_from_names(args.mask.split(",")) if args.mask else DEFAULT_MASK
-    config = TrainConfig(kind=args.kind, l2_lambda=args.l2, seed=args.seed, hyper_grid=args.grid)
+    config = TrainConfig(kind=args.kind, l2_lambda=args.l2)
     model = train((X, y), config, mask, dwt_config)
     save_model(model, args.out)
     print(f"trained {args.kind} model -> {args.out}")
@@ -309,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["logreg", "svm"], default="logreg")
     p.add_argument("--mask", default=None, help="comma list from fa,fx,fy,fz,m,sigma")
     p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--grid", type=_float_list, help="comma list of l2 values for CV search")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 

@@ -99,7 +99,7 @@ class FingertipDetector:
             return Detection(timestamp, fingertip_id, NO_CONTACT, None, sigma)
         score = float(predict_score_batch(self.model, row[None])[0])
         state = STABLE if score > 0.0 else UNSTABLE
-        p = float(sigmoid(score)) if self.model.kind == "logreg" else None
+        p = float(sigmoid(score)) if self.model.train_config.kind == "logreg" else None
         return Detection(timestamp, fingertip_id, state, p, sigma)
 
 

@@ -2,14 +2,19 @@
 
 Both kinds are fitted by one deterministic loop, full-batch gradient descent
 with Armijo backtracking from zero, on a smooth loss: the logistic loss or the
-squared hinge. Feature columns follow features.FEATURE_NAMES; a boolean mask
-selects the active subset (the moving-average column is masked off by default).
+squared hinge, at the one L2 weight that TrainConfig gives. Nothing here
+searches for that weight: windows of one episode overlap, so an honest choice
+needs folds grouped by episode, which only the study knows. Feature columns
+follow features.FEATURE_NAMES; a boolean mask selects the active subset (the
+moving-average column is masked off by default). A model file (version 3)
+holds the TrainConfig, and so the model's kind, once.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,14 +31,13 @@ from .features import FEATURE_NAMES, DwtConfig
 from .files import check_header, read_json, write_json
 
 MODEL_FORMAT = "gripwatch-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 # Default mask drops the moving-average column (redundant with fa).
 DEFAULT_MASK = (True, True, True, True, False, True)
 FULL_MASK = (True,) * 6
 
 TOLERANCE = 1e-8  # training of either kind stops once the gradient norm is at most this
-CV_FOLDS = 5
 
 
 def mask_from_names(names) -> tuple:
@@ -63,20 +67,18 @@ class TrainConfig:
     kind: str = "logreg"  # logreg | svm
     l2_lambda: float = 1e-4
     max_iters: int = 500
-    seed: int = 0
-    hyper_grid: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("logreg", "svm"):
             raise InvariantViolation(f"unknown model kind {self.kind!r}")
-        lambdas = (self.l2_lambda, *(self.hyper_grid or ()))
-        if not all(0 <= lam < np.inf for lam in lambdas) or self.max_iters < 1:
-            raise InvariantViolation(f"l2 values {lambdas} must be finite and >= 0, max_iters >= 1")
+        if not 0 <= self.l2_lambda < np.inf:
+            raise InvariantViolation(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise InvariantViolation(f"max_iters must be an integer >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    kind: str
     weights: np.ndarray
     bias: float
     standardizer: Standardizer
@@ -220,38 +222,11 @@ def train(
     if sum(mask) == 0:
         raise InvariantViolation("mask keeps no features")
 
-    if config.hyper_grid:
-        config = replace(
-            config, l2_lambda=_grid_search(X_full, y, config, mask), hyper_grid=None
-        )
-
     standardizer = fit_standardizer(X_full, mask)
     Xs = standardizer.transform(X_full[:, np.asarray(mask, dtype=bool)])
     loss_grad = logreg_loss_grad if config.kind == "logreg" else svm_loss_grad
     w, b = _descend(loss_grad, Xs, y, config)
-    return LinearModel(config.kind, w, b, standardizer, mask, config, dwt_config)
-
-
-def _grid_search(X, y, config: TrainConfig, mask) -> float:
-    """Deterministic k-fold CV over the lambda grid; ties go to the smaller lambda."""
-    order = np.random.default_rng(config.seed).permutation(len(y))
-    folds = np.array_split(order, CV_FOLDS)
-    best_lambda, best_acc = None, -1.0
-    for lam in sorted(config.hyper_grid):
-        accs = []
-        for k in range(CV_FOLDS):
-            val_idx = folds[k]
-            train_idx = np.concatenate([folds[j] for j in range(CV_FOLDS) if j != k])
-            if len(np.unique(y[train_idx])) < 2 or len(val_idx) == 0:
-                continue
-            fold_cfg = replace(config, l2_lambda=lam, hyper_grid=None)
-            model = train((X[train_idx], y[train_idx]), fold_cfg, mask)
-            preds = predict_label_batch(model, X[val_idx])
-            accs.append(float(np.mean(preds == y[val_idx])))
-        mean_acc = float(np.mean(accs)) if accs else -1.0
-        if mean_acc > best_acc:
-            best_lambda, best_acc = lam, mean_acc
-    return best_lambda if best_lambda is not None else config.l2_lambda
+    return LinearModel(w, b, standardizer, mask, config, dwt_config)
 
 
 def predict_score_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:
@@ -276,7 +251,6 @@ def save_model(model: LinearModel, path) -> None:
         {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
-            "kind": model.kind,
             "n_w": model.dwt_config.n_w,
             "mask": list(model.feature_mask),
             "means": model.standardizer.means.tolist(),
@@ -292,29 +266,22 @@ def load_model(path) -> LinearModel:
     payload = read_json(path, "model")
     check_header(payload, MODEL_FORMAT, MODEL_VERSION)
     try:
-        tc = dict(payload["train_config"])
-        if tc.get("hyper_grid"):
-            tc["hyper_grid"] = tuple(tc["hyper_grid"])
-        config = TrainConfig(**tc)
-        model = LinearModel(
-            kind=payload["kind"],
-            weights=np.array(payload["weights"], dtype=float),
-            bias=float(payload["bias"]),
-            standardizer=Standardizer(
-                np.array(payload["means"], dtype=float),
-                np.array(payload["stds"], dtype=float),
-            ),
-            feature_mask=tuple(bool(m) for m in payload["mask"]),
-            train_config=config,
-            dwt_config=DwtConfig(n_w=payload["n_w"]),
+        config = TrainConfig(**payload["train_config"])
+        mask = tuple(bool(m) for m in payload["mask"])
+        weights, means, stds = (
+            np.array(payload[key], dtype=float) for key in ("weights", "means", "stds")
         )
-    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+        bias = float(payload["bias"])
+        dwt_config = DwtConfig(n_w=payload["n_w"])
+    except (KeyError, TypeError, ValueError, InvalidConfig, InvariantViolation) as exc:
         raise ParseError(f"malformed model file: {exc}") from exc
-    params = (model.weights, model.bias, model.standardizer.means, model.standardizer.stds)
-    if not all(np.isfinite(p).all() for p in params):
+    if not all(np.isfinite(p).all() for p in (weights, bias, means, stds)):
         raise ParseError("model file holds a non-finite parameter")
-    if len(model.feature_mask) != len(FEATURE_NAMES):
-        raise InvariantViolation(
-            f"mask must have {len(FEATURE_NAMES)} entries, got {len(model.feature_mask)}"
+    if len(mask) != len(FEATURE_NAMES):
+        raise InvariantViolation(f"mask must have {len(FEATURE_NAMES)} entries, got {len(mask)}")
+    if means.shape != (sum(mask),) or stds.shape != (sum(mask),):
+        raise ParseError(
+            f"means of shape {means.shape} and stds of shape {stds.shape}"
+            f" for {sum(mask)} unmasked features"
         )
-    return model
+    return LinearModel(weights, bias, Standardizer(means, stds), mask, config, dwt_config)

@@ -507,7 +507,7 @@ def test_train_rejects_unlabeled_features(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "option",
-    [["--l2", "nan"], ["--l2", "inf"], ["--grid", "1e-4,nan"], ["--grid", "1e-4,-1"]],
+    [["--l2", "nan"], ["--l2", "inf"]],
     ids=lambda option: " ".join(option),
 )
 def test_train_refuses_a_non_finite_lambda(workspace, tmp_path, capsys, option):
@@ -516,14 +516,6 @@ def test_train_refuses_a_non_finite_lambda(workspace, tmp_path, capsys, option):
     err = capsys.readouterr().err
     assert err.startswith("error: InvariantViolation: ") and err.count("\n") == 1, err
     assert not out.exists()
-
-
-def test_train_grid_that_is_not_a_number_is_a_usage_error(workspace, tmp_path, capsys):
-    argv = ["train", "--features", str(workspace / "features.jsonl"), "--grid", "1e-4,x"]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", str(tmp_path / "m.json")])
-    assert exc.value.code == 1
-    assert "usage error: argument --grid: not a comma list of numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-0.5"])
@@ -649,24 +641,61 @@ def test_pipeline_at_n_w_8_takes_the_window_from_the_model(workspace, tmp_path, 
     assert err.startswith("error: InvalidConfig: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize(
+def _as_version_2(model):
+    """The model as the version 2 format laid it out."""
+    model.update(version=2, kind=model["train_config"]["kind"])
+    model["train_config"].update(seed=0, hyper_grid=None)
+
+
+BAD_MODEL_EDITS = pytest.mark.parametrize(
     "edit, error",
     [
         (lambda m: m.update(version=1) or m.pop("n_w"), "VersionMismatch"),
+        (_as_version_2, "VersionMismatch"),
         (lambda m: m.update(n_w=7), "ParseError"),
         (lambda m: m["weights"].__setitem__(0, float("nan")), "ParseError"),
+        (lambda m: m["train_config"].update(kind="foo"), "ParseError"),
+        (lambda m: m["train_config"].update(max_iters=2.5), "ParseError"),
+        (lambda m: m.update(means=m["means"][:-1]), "ParseError"),
+        (lambda m: m.update(stds=m["stds"] + [1.0]), "ParseError"),
     ],
-    ids=["version 1", "odd window", "NaN weight"],
+    ids=[
+        "version 1",
+        "version 2",
+        "odd window",
+        "NaN weight",
+        "unknown kind",
+        "fractional max_iters",
+        "short means",
+        "long stds",
+    ],
 )
-def test_detect_rejects_a_bad_model_file_before_any_frame(workspace, tmp_path, capsys, edit, error):
+
+
+def _edited_model(workspace, tmp_path, edit):
     payload = json.loads((workspace / "model.json").read_text())
     edit(payload)
     model = tmp_path / "edited.json"
     model.write_text(json.dumps(payload))
+    return str(model)
+
+
+@BAD_MODEL_EDITS
+def test_detect_rejects_a_bad_model_file_before_any_frame(workspace, tmp_path, capsys, edit, error):
+    model = _edited_model(workspace, tmp_path, edit)
     episode = str(sorted((workspace / "data").glob("episode*.jsonl"))[0])
     geometry = str(workspace / "data" / "geometry.json")
-    rc = main(["detect", "--model", str(model), "--geometry", geometry, "--tau", "0.5", "--in", episode])
+    rc = main(["detect", "--model", model, "--geometry", geometry, "--tau", "0.5", "--in", episode])
     assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}: ") and captured.err.count("\n") == 1
+
+
+@BAD_MODEL_EDITS
+def test_eval_rejects_a_bad_model_file(workspace, tmp_path, capsys, edit, error):
+    model = _edited_model(workspace, tmp_path, edit)
+    assert main(["eval", "--model", model, "--features", str(workspace / "features.jsonl")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {error}: ") and captured.err.count("\n") == 1
@@ -734,6 +763,6 @@ def test_train_svm_and_masked(workspace, tmp_path):
     )
     assert rc == 0
     payload = json.loads((tmp_path / "svm.json").read_text())
-    assert payload["kind"] == "svm"
+    assert payload["train_config"]["kind"] == "svm"
     assert payload["mask"] == [True, False, False, False, False, True]
     assert len(payload["weights"]) == 2

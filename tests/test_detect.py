@@ -167,7 +167,6 @@ def test_nan_timestamp_rejected_without_touching_order(model, geometry):
 def test_state_and_probability_follow_one_score(geometry):
     # score = 1e-17 > 0 rounds to p = 0.5 exactly; the state must be stable
     tiny = LinearModel(
-        "logreg",
         np.zeros(5),
         1e-17,
         Standardizer(np.zeros(5), np.ones(5)),

@@ -119,9 +119,7 @@ def test_svm_hard_margin_solution():
     [
         ("l2_lambda", float("nan")),
         ("l2_lambda", float("inf")),
-        ("hyper_grid", (1e-4, float("nan"))),
-        ("hyper_grid", (1e-4, float("inf"))),
-        ("hyper_grid", (1e-4, -1.0)),
+        ("max_iters", 2.5),
     ],
 )
 def test_train_config_refuses_a_non_finite_or_negative_lambda(field, value):
@@ -159,7 +157,6 @@ def test_zero_model_scores_zero_and_predicts_unstable():
     from gripwatch.models import LinearModel, Standardizer
 
     model = LinearModel(
-        kind="logreg",
         weights=np.zeros(6),
         bias=0.0,
         standardizer=Standardizer(np.zeros(6), np.ones(6)),
@@ -287,26 +284,16 @@ def test_regularization_monotonically_shrinks_weights():
     assert all(a >= b - 1e-9 for a, b in zip(norms, norms[1:]))
 
 
-def test_grid_search_is_deterministic_and_picks_from_grid():
-    X, y = synthetic_dataset(n=150)
-    config = TrainConfig(hyper_grid=(1e-4, 1e-2, 1.0), max_iters=100)
-    a = train((X, y), config)
-    b = train((X, y), config)
-    assert a.train_config.l2_lambda in (1e-4, 1e-2, 1.0)
-    assert np.array_equal(a.weights, b.weights)
-
-
 def test_model_round_trip_preserves_scores(tmp_path):
     X, y = synthetic_dataset()
-    model = train((X, y), TrainConfig())
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    rng = np.random.default_rng(4)
-    probes = rng.normal(size=(1000, 6))
-    assert np.allclose(
-        predict_score_batch(model, probes), predict_score_batch(loaded, probes), atol=1e-12
-    )
+    probes = np.random.default_rng(4).normal(size=(1000, 6))
+    for kind in ("logreg", "svm"):
+        model = train((X, y), TrainConfig(kind=kind))
+        path = tmp_path / f"{kind}.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.train_config == TrainConfig(kind=kind)
+        assert np.array_equal(predict_score_batch(model, probes), predict_score_batch(loaded, probes))
 
 
 def test_truncated_model_file(tmp_path):
@@ -332,8 +319,9 @@ def saved_payload(tmp_path, dwt_config=DwtConfig()):
 
 def test_model_file_carries_the_window(tmp_path):
     path, payload = saved_payload(tmp_path, DwtConfig(n_w=8))
-    assert (payload["version"], payload["n_w"]) == (2, 8)
-    assert set(payload["train_config"]) == {"kind", "l2_lambda", "max_iters", "seed", "hyper_grid"}
+    assert (payload["version"], payload["n_w"]) == (3, 8)
+    assert set(payload["train_config"]) == {"kind", "l2_lambda", "max_iters"}
+    assert "kind" not in payload
     assert load_model(path).dwt_config == DwtConfig(n_w=8)
 
 
@@ -359,6 +347,22 @@ def test_model_file_with_a_non_finite_parameter_is_a_parse_error(tmp_path, key, 
         payload[key][0] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(ParseError, match="non-finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["train_config"].update(seed=0),
+        lambda m: m.update(train_config=[]),
+    ],
+    ids=["extra key", "not an object"],
+)
+def test_model_file_with_a_bad_train_config_is_a_parse_error(tmp_path, edit):
+    path, payload = saved_payload(tmp_path)
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="malformed model file"):
         load_model(path)
 
 
