@@ -18,7 +18,6 @@ from .features import (
 )
 from .models import (
     LinearModel,
-    Standardizer,
     TrainConfig,
     fit_standardizer,
     load_model,

@@ -6,8 +6,12 @@ squared hinge, at the one L2 weight that TrainConfig gives. Nothing here
 searches for that weight: windows of one episode overlap, so an honest choice
 needs folds grouped by episode, which only the study knows. Feature columns
 follow features.FEATURE_NAMES; a boolean mask selects the active subset (the
-moving-average column is masked off by default). A model file (version 3)
-holds the TrainConfig, and so the model's kind, once.
+moving-average column is masked off by default). LinearModel holds exactly
+what a model file (version 3) holds, the TrainConfig and so the kind once,
+and is the one place a model's invariants are checked: a mask of six
+booleans that keeps a feature; weights, means and stds with one entry per
+kept feature; every parameter finite; every std positive. load_model only
+reads and constructs, so any malformed model file is one ParseError.
 """
 
 from __future__ import annotations
@@ -48,21 +52,6 @@ def mask_from_names(names) -> tuple:
 
 
 @dataclass(frozen=True)
-class Standardizer:
-    means: np.ndarray
-    stds: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
-        object.__setattr__(self, "stds", np.asarray(self.stds, dtype=float))
-        if np.any(self.stds <= 0):
-            raise InvariantViolation("standardizer stds must be positive")
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.means) / self.stds
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     kind: str = "logreg"  # logreg | svm
     l2_lambda: float = 1e-4
@@ -79,19 +68,33 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LinearModel:
+    """What a model file holds, and the one place its invariants are checked."""
+
     weights: np.ndarray
     bias: float
-    standardizer: Standardizer
+    means: np.ndarray  # the standardisation: a row x scores as
+    stds: np.ndarray  # ((x[mask] - means) / stds) @ weights + bias
     feature_mask: tuple
     train_config: TrainConfig
     dwt_config: DwtConfig  # the window the features were extracted with
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if len(self.weights) != sum(self.feature_mask):
-            raise InvariantViolation(
-                f"{len(self.weights)} weights for {sum(self.feature_mask)} unmasked features"
-            )
+        mask = tuple(self.feature_mask)
+        if len(mask) != len(FEATURE_NAMES) or not all(isinstance(m, bool) for m in mask):
+            raise InvariantViolation(f"mask must be {len(FEATURE_NAMES)} booleans, got {mask}")
+        if not any(mask):
+            raise InvariantViolation("mask keeps no features")
+        object.__setattr__(self, "feature_mask", mask)
+        object.__setattr__(self, "bias", float(self.bias))
+        for name in ("weights", "means", "stds"):
+            array = np.asarray(getattr(self, name), dtype=float)
+            if array.shape != (sum(mask),):
+                raise InvariantViolation(f"{name} of shape {array.shape}, not ({sum(mask)},)")
+            object.__setattr__(self, name, array)
+        if not all(np.isfinite(p).all() for p in (self.weights, self.bias, self.means, self.stds)):
+            raise InvariantViolation("non-finite model parameter")
+        if np.any(self.stds <= 0):
+            raise InvariantViolation(f"stds must be positive, got {self.stds.tolist()}")
 
 
 def check_binary_labels(labels, what: str) -> np.ndarray:
@@ -104,8 +107,8 @@ def check_binary_labels(labels, what: str) -> np.ndarray:
     return labels.astype(int)
 
 
-def fit_standardizer(X: np.ndarray, mask=FULL_MASK) -> Standardizer:
-    """Per-column mean and population std over the masked feature matrix."""
+def fit_standardizer(X: np.ndarray, mask=FULL_MASK):
+    """(means, stds): per-column mean and population std over the masked feature matrix."""
     if len(X) == 0:
         raise EmptyDataset("cannot standardize an empty feature set")
     if len(mask) != X.shape[1]:
@@ -120,7 +123,7 @@ def fit_standardizer(X: np.ndarray, mask=FULL_MASK) -> Standardizer:
             stacklevel=2,
         )
         stds = np.where(zero, 1.0, stds)
-    return Standardizer(means, stds)
+    return means, stds
 
 
 def logreg_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda: float):
@@ -197,7 +200,7 @@ def _descend(loss_grad, X, y, config: TrainConfig):
 def train(
     features, config: TrainConfig, mask=DEFAULT_MASK, dwt_config=DwtConfig()
 ) -> LinearModel:
-    """Fit a standardizer and a linear model on labeled features.
+    """Fit the standardisation and a linear model on labeled features.
 
     ``features`` is an (X, y) pair with X in the 6-column layout, extracted
     with the window ``dwt_config``, which the model keeps.
@@ -219,14 +222,13 @@ def train(
     if len(classes) < 2:
         raise SingleClassDataset(f"need both classes, got only {classes.tolist()}")
     mask = tuple(bool(m) for m in mask)
-    if sum(mask) == 0:
+    if not any(mask):  # LinearModel refuses it too, but only after a wasted fit
         raise InvariantViolation("mask keeps no features")
-
-    standardizer = fit_standardizer(X_full, mask)
-    Xs = standardizer.transform(X_full[:, np.asarray(mask, dtype=bool)])
+    means, stds = fit_standardizer(X_full, mask)
+    Xs = (X_full[:, np.asarray(mask, dtype=bool)] - means) / stds
     loss_grad = logreg_loss_grad if config.kind == "logreg" else svm_loss_grad
     w, b = _descend(loss_grad, Xs, y, config)
-    return LinearModel(w, b, standardizer, mask, config, dwt_config)
+    return LinearModel(w, b, means, stds, mask, config, dwt_config)
 
 
 def predict_score_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:
@@ -234,7 +236,7 @@ def predict_score_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:
     cols = np.asarray(X, dtype=float)[:, np.asarray(model.feature_mask, dtype=bool)]
     if not np.isfinite(cols).all():
         raise NonFiniteFeature("feature matrix contains NaN/Inf")
-    return model.standardizer.transform(cols) @ model.weights + model.bias
+    return ((cols - model.means) / model.stds) @ model.weights + model.bias
 
 
 def predict_label_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:
@@ -253,8 +255,8 @@ def save_model(model: LinearModel, path) -> None:
             "version": MODEL_VERSION,
             "n_w": model.dwt_config.n_w,
             "mask": list(model.feature_mask),
-            "means": model.standardizer.means.tolist(),
-            "stds": model.standardizer.stds.tolist(),
+            "means": model.means.tolist(),
+            "stds": model.stds.tolist(),
             "weights": model.weights.tolist(),
             "bias": model.bias,
             "train_config": asdict(model.train_config),
@@ -263,25 +265,16 @@ def save_model(model: LinearModel, path) -> None:
 
 
 def load_model(path) -> LinearModel:
+    """The model a file holds; any malformed content is one ParseError."""
     payload = read_json(path, "model")
     check_header(payload, MODEL_FORMAT, MODEL_VERSION)
     try:
-        config = TrainConfig(**payload["train_config"])
-        mask = tuple(bool(m) for m in payload["mask"])
-        weights, means, stds = (
-            np.array(payload[key], dtype=float) for key in ("weights", "means", "stds")
+        return LinearModel(
+            *(payload[key] for key in ("weights", "bias", "means", "stds", "mask")),
+            TrainConfig(**payload["train_config"]),
+            DwtConfig(n_w=payload["n_w"]),
         )
-        bias = float(payload["bias"])
-        dwt_config = DwtConfig(n_w=payload["n_w"])
-    except (KeyError, TypeError, ValueError, InvalidConfig, InvariantViolation) as exc:
+    except (
+        KeyError, TypeError, ValueError, OverflowError, InvalidConfig, InvariantViolation
+    ) as exc:
         raise ParseError(f"malformed model file: {exc}") from exc
-    if not all(np.isfinite(p).all() for p in (weights, bias, means, stds)):
-        raise ParseError("model file holds a non-finite parameter")
-    if len(mask) != len(FEATURE_NAMES):
-        raise InvariantViolation(f"mask must have {len(FEATURE_NAMES)} entries, got {len(mask)}")
-    if means.shape != (sum(mask),) or stds.shape != (sum(mask),):
-        raise ParseError(
-            f"means of shape {means.shape} and stds of shape {stds.shape}"
-            f" for {sum(mask)} unmasked features"
-        )
-    return LinearModel(weights, bias, Standardizer(means, stds), mask, config, dwt_config)

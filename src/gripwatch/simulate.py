@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvariantViolation, ParseError
 from .files import read_jsonl, write_jsonl
+from .models import check_binary_labels
 from .tactile import DEFAULT_N_S, FingertipGeometry, TaxelFrame, aggregate_taxels
 
 EPISODE_FORMAT = "gripwatch-episode"
@@ -100,6 +101,7 @@ class LabeledEpisode:
     metadata: EpisodeConfig | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", check_binary_labels(self.labels, "labels"))
         for name, dtype in (("t", float), ("taxels", float), ("labels", int)):
             array = np.asarray(getattr(self, name), dtype=dtype)
             array.setflags(write=False)
@@ -301,6 +303,8 @@ def load_episode_log(path) -> LabeledEpisode:
             label = record["label"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
+        if not math.isfinite(t):
+            raise ParseError(f"non-finite timestamp {t}", line=lineno)
         if taxels.ndim != 2 or taxels.shape[1] != 3:
             raise ParseError(
                 f"taxels must be an n_s x 3 array, got shape {taxels.shape}", line=lineno

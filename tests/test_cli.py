@@ -647,17 +647,26 @@ def _as_version_2(model):
     model["train_config"].update(seed=0, hyper_grid=None)
 
 
+MALFORMED = "ParseError: malformed model file"
+
 BAD_MODEL_EDITS = pytest.mark.parametrize(
     "edit, error",
     [
         (lambda m: m.update(version=1) or m.pop("n_w"), "VersionMismatch"),
         (_as_version_2, "VersionMismatch"),
-        (lambda m: m.update(n_w=7), "ParseError"),
-        (lambda m: m["weights"].__setitem__(0, float("nan")), "ParseError"),
-        (lambda m: m["train_config"].update(kind="foo"), "ParseError"),
-        (lambda m: m["train_config"].update(max_iters=2.5), "ParseError"),
-        (lambda m: m.update(means=m["means"][:-1]), "ParseError"),
-        (lambda m: m.update(stds=m["stds"] + [1.0]), "ParseError"),
+        (lambda m: m.update(n_w=7), MALFORMED),
+        (lambda m: m["weights"].__setitem__(0, float("nan")), MALFORMED),
+        (lambda m: m["train_config"].update(kind="foo"), MALFORMED),
+        (lambda m: m["train_config"].update(max_iters=2.5), MALFORMED),
+        (lambda m: m.update(means=m["means"][:-1]), MALFORMED),
+        (lambda m: m.update(stds=m["stds"] + [1.0]), MALFORMED),
+        (lambda m: m["stds"].__setitem__(0, 0.0), MALFORMED),
+        (lambda m: m.update(mask=m["mask"][:5]), MALFORMED),
+        (lambda m: m.update(mask=m["mask"] + [False]), MALFORMED),
+        (lambda m: m.update(weights=m["weights"][:-1]), MALFORMED),
+        (lambda m: m.update(weights=[[w, 5.0] for w in m["weights"]]), MALFORMED),
+        (lambda m: m["mask"].__setitem__(0, 1), MALFORMED),
+        (lambda m: m.update(bias=10**400), MALFORMED),
     ],
     ids=[
         "version 1",
@@ -668,6 +677,13 @@ BAD_MODEL_EDITS = pytest.mark.parametrize(
         "fractional max_iters",
         "short means",
         "long stds",
+        "zero std",
+        "mask of 5",
+        "mask of 7",
+        "short weights",
+        "2-D weights",
+        "non-boolean mask entry",
+        "bias too large for a float",
     ],
 )
 

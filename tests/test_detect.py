@@ -14,7 +14,6 @@ from gripwatch.features import DwtConfig, batch_features
 from gripwatch.models import (
     DEFAULT_MASK,
     LinearModel,
-    Standardizer,
     TrainConfig,
     predict_score_batch,
     train,
@@ -169,7 +168,8 @@ def test_state_and_probability_follow_one_score(geometry):
     tiny = LinearModel(
         np.zeros(5),
         1e-17,
-        Standardizer(np.zeros(5), np.ones(5)),
+        np.zeros(5),
+        np.ones(5),
         DEFAULT_MASK,
         TrainConfig(),
         DwtConfig(),

@@ -16,6 +16,7 @@ from gripwatch.models import (
     DEFAULT_MASK,
     FULL_MASK,
     TOLERANCE,
+    LinearModel,
     TrainConfig,
     fit_standardizer,
     load_model,
@@ -50,22 +51,22 @@ def synthetic_dataset(n=200, seed=0):
 def test_standardizer_zero_variance_clamps_with_warning():
     X = np.tile([1.0, 2, 3, 4, 5, 6], (5, 1))
     with pytest.warns(UserWarning, match="zero-variance"):
-        s = fit_standardizer(X)
-    assert np.allclose(s.means, [1, 2, 3, 4, 5, 6])
-    assert np.allclose(s.stds, 1.0)
+        means, stds = fit_standardizer(X)
+    assert np.allclose(means, [1, 2, 3, 4, 5, 6])
+    assert np.allclose(stds, 1.0)
 
 
 def test_standardizer_symmetric_pair():
     X = np.array([[-1.0], [1.0]])
-    s = fit_standardizer(X, mask=(True,))
-    assert s.means[0] == 0.0
-    assert s.stds[0] == 1.0
+    means, stds = fit_standardizer(X, mask=(True,))
+    assert means[0] == 0.0
+    assert stds[0] == 1.0
 
 
 def test_standardized_training_features_are_normalized():
     X, _ = synthetic_dataset()
-    s = fit_standardizer(X)
-    Z = s.transform(X)
+    means, stds = fit_standardizer(X)
+    Z = (X - means) / stds
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-9)
 
@@ -110,7 +111,8 @@ def test_svm_hard_margin_solution():
     assert model.bias == pytest.approx(0.0, abs=0.05)
     # the fit is a stationary point of the squared hinge, not a point near one
     theta = np.append(model.weights, model.bias)
-    _, grad = svm_loss_grad(theta, model.standardizer.transform(X[:, [0]]), y, config.l2_lambda)
+    Xs = (X[:, [0]] - model.means) / model.stds
+    _, grad = svm_loss_grad(theta, Xs, y, config.l2_lambda)
     assert np.linalg.norm(grad) <= TOLERANCE
 
 
@@ -143,6 +145,38 @@ def test_labels_other_than_zero_and_one_rejected():
     assert model.weights[0] > 0
 
 
+def test_linear_model_refuses_each_bad_field():
+    good = dict(
+        weights=np.ones(5),
+        bias=0.0,
+        means=np.zeros(5),
+        stds=np.ones(5),
+        feature_mask=DEFAULT_MASK,
+        train_config=TrainConfig(),
+        dwt_config=DwtConfig(),
+    )
+    LinearModel(**good)
+    bad_fields = [
+        ("feature_mask", DEFAULT_MASK[:5]),
+        ("feature_mask", DEFAULT_MASK + (False,)),
+        ("feature_mask", (1,) + DEFAULT_MASK[1:]),
+        ("feature_mask", (False,) * 6),
+        ("weights", np.ones(4)),
+        ("weights", np.ones((5, 2))),
+        ("means", np.zeros(6)),
+        ("stds", np.ones((1, 5))),
+        ("weights", [1.0, float("nan"), 1.0, 1.0, 1.0]),
+        ("bias", float("inf")),
+        ("means", [0.0, 0.0, float("-inf"), 0.0, 0.0]),
+        ("stds", [1.0, 1.0, 1.0, 1.0, float("inf")]),
+        ("stds", [1.0, 0.0, 1.0, 1.0, 1.0]),
+        ("stds", [1.0, 1.0, -2.0, 1.0, 1.0]),
+    ]
+    for field, value in bad_fields:
+        with pytest.raises(InvariantViolation):
+            LinearModel(**{**good, field: value})
+
+
 def test_predict_score_affine_and_trivial_cases():
     X, y = synthetic_dataset()
     model = train((X, y), TrainConfig(), mask=FULL_MASK)
@@ -154,12 +188,11 @@ def test_predict_score_affine_and_trivial_cases():
 
 
 def test_zero_model_scores_zero_and_predicts_unstable():
-    from gripwatch.models import LinearModel, Standardizer
-
     model = LinearModel(
         weights=np.zeros(6),
         bias=0.0,
-        standardizer=Standardizer(np.zeros(6), np.ones(6)),
+        means=np.zeros(6),
+        stds=np.ones(6),
         feature_mask=FULL_MASK,
         train_config=TrainConfig(),
         dwt_config=DwtConfig(),
@@ -267,8 +300,8 @@ def test_scale_absorption():
     scaled[:, 2] *= 37.5
     a = train((X, y), TrainConfig())
     b = train((scaled, y), TrainConfig())
-    za = a.standardizer.transform(X[:, np.asarray(DEFAULT_MASK)])
-    zb = b.standardizer.transform(scaled[:, np.asarray(DEFAULT_MASK)])
+    za = (X[:, np.asarray(DEFAULT_MASK)] - a.means) / a.stds
+    zb = (scaled[:, np.asarray(DEFAULT_MASK)] - b.means) / b.stds
     assert np.allclose(za, zb, atol=1e-9)
     pa = predict_score_batch(a, X) > 0
     pb = predict_score_batch(b, scaled) > 0
@@ -374,7 +407,7 @@ def test_model_weight_mask_mismatch(tmp_path):
     payload = json.loads(path.read_text())
     payload["weights"] = payload["weights"][:-1]
     path.write_text(json.dumps(payload))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ParseError, match=r"malformed model file: weights of shape \(4,\)"):
         load_model(path)
 
 

@@ -167,6 +167,20 @@ def test_episode_log_reports_line_of_bad_frame(tmp_path):
         load_episode_log(path)
 
 
+@pytest.mark.parametrize("bad_t", [float("nan"), float("inf")])
+def test_episode_log_rejects_a_non_finite_timestamp(tmp_path, bad_t):
+    # A NaN would also hide the 1.0 -> 0.5 decrease after it from the order check.
+    path = tmp_path / "t.jsonl"
+    header = {"format": "gripwatch-episode", "version": 1, "n_s": 1}
+    frames = [
+        {"t": t, "fingertip": "f", "taxels": [[1, 0, 0]], "label": 0}
+        for t in (0.0, 1.0, bad_t, 0.5, float("inf"))
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in [header, *frames]) + "\n")
+    with pytest.raises(ParseError, match="line 4: non-finite timestamp"):
+        load_episode_log(path)
+
+
 @pytest.mark.parametrize("label", [0.7, 1.9, -1, "1", None])
 def test_episode_log_rejects_a_label_other_than_0_or_1(tmp_path, label):
     path = tmp_path / "labels.jsonl"
@@ -251,6 +265,8 @@ def test_episode_rejects_misshapen_arrays():
     ):
         with pytest.raises(InvariantViolation):
             LabeledEpisode(*bad, "f")
+    with pytest.raises(InvariantViolation, match="labels must be 0 or 1"):
+        LabeledEpisode(t, taxels, [0.5, 1.7, 1.0], "f")
 
 
 def test_nan_taxel_raises_through_the_force_cache():
