@@ -89,7 +89,7 @@ def _read_features(path):
             if record["label"] is None:
                 raise ParseError("unlabeled features", line=lineno)
             rows.append([float(record[key]) for key in FEATURE_KEYS])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad feature record: {exc}", line=lineno) from exc
     if not rows:
         raise ParseError("no feature rows")
@@ -256,8 +256,8 @@ def _detect_line(detector, lineno, line):
             np.array(record["taxels"], dtype=float),
         )
         detections = detector.process(frame)
-    # ValueError covers invalid JSON and invalid UTF-8.
-    except (GripwatchError, KeyError, TypeError, ValueError) as exc:
+    # ValueError covers invalid JSON and UTF-8, OverflowError a number past float.
+    except (GripwatchError, KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"error: frame {lineno}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 0
     _write_detections(detections)

@@ -21,8 +21,8 @@ def _object(data: bytes, what: str, line=None) -> dict:
         value = json.loads(data)
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid UTF-8 in {what}: {exc.reason}", line=line) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {what}: {exc.msg}", line=line) from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+        raise ParseError(f"invalid JSON in {what}: {getattr(exc, 'msg', exc)}", line=line) from exc
     if not isinstance(value, dict):
         raise ParseError(f"{what} is not a JSON object", line=line)
     return value

@@ -4,8 +4,10 @@ Both kinds are fitted by one deterministic loop, full-batch gradient descent
 with Armijo backtracking from zero, on a smooth loss: the logistic loss or the
 squared hinge, at the one L2 weight that TrainConfig gives. Nothing here
 searches for that weight: windows of one episode overlap, so an honest choice
-needs folds grouped by episode, which only the study knows. Feature columns
-follow features.FEATURE_NAMES; a boolean mask selects the active subset (the
+needs folds grouped by episode, which only the study knows. No loss is evaluated
+for an Armijo test that the descent lemma passes beyond a rounding bound, and the
+fit is bit-identical to that of the full test. Feature columns follow
+features.FEATURE_NAMES; a boolean mask selects the active subset (the
 moving-average column is masked off by default). LinearModel holds exactly
 what a model file (version 3) holds, the TrainConfig and so the kind once,
 and is the one place a model's invariants are checked: a mask of six
@@ -126,14 +128,14 @@ def fit_standardizer(X: np.ndarray, mask=FULL_MASK):
     return means, stds
 
 
-def logreg_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda: float):
-    """Mean negative log-likelihood plus L2 on the weights (bias excluded).
+def _affine(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """z = X @ w + b for theta = [w..., b]: what the loss and gradient halves share."""
+    z = X @ theta[:-1]
+    z += theta[-1]
+    return z
 
-    ``theta`` packs [w..., b]. Returns (loss, grad) with grad matching theta.
-    """
-    w, b = theta[:-1], theta[-1]
-    z = X @ w
-    z += b
+
+def _logreg_loss(z, y, w, l2_lambda) -> float:
     # softplus(z) = log(1 + e^z) by the formula np.logaddexp(0, z) uses,
     # max(z, 0) + log1p(e^-|z|), but as whole-array exp and log1p, which are
     # SIMD loops where logaddexp is a scalar one. The exponent is clamped at
@@ -148,7 +150,10 @@ def logreg_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda:
     np.log1p(t, out=t)
     t += np.maximum(z, 0.0)
     t -= y * z
-    loss = float(np.mean(t) + 0.5 * l2_lambda * w @ w)
+    return float(np.mean(t) + 0.5 * l2_lambda * w @ w)
+
+
+def _logreg_grad(z, X, y, w, l2_lambda) -> np.ndarray:
     # z becomes the residual (sigmoid(z) - y) / n, sigmoid as in sigmoid()
     z *= 0.5
     np.tanh(z, out=z)
@@ -156,8 +161,16 @@ def logreg_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda:
     z *= 0.5
     z -= y
     z /= len(y)
-    grad = np.concatenate([X.T @ z + l2_lambda * w, [z.sum()]])
-    return loss, grad
+    return np.concatenate([X.T @ z + l2_lambda * w, [z.sum()]])
+
+
+def logreg_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda: float):
+    """Mean negative log-likelihood plus L2 on the weights (bias excluded).
+
+    ``theta`` packs [w..., b]. Returns (loss, grad) with grad matching theta.
+    """
+    z = _affine(theta, X)
+    return _logreg_loss(z, y, theta[:-1], l2_lambda), _logreg_grad(z, X, y, theta[:-1], l2_lambda)
 
 
 def sigmoid(z):
@@ -165,35 +178,71 @@ def sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _svm_loss(z, y, w, l2_lambda) -> float:
+    slack = np.maximum(1.0 - (2.0 * y - 1.0) * z, 0.0)
+    return float(np.mean(slack * slack) + 0.5 * l2_lambda * w @ w)
+
+
+def _svm_grad(z, X, y, w, l2_lambda) -> np.ndarray:
+    s = 2.0 * y - 1.0
+    coeff = (-2.0 / len(y)) * s * np.maximum(1.0 - s * z, 0.0)
+    return np.concatenate([X.T @ coeff + l2_lambda * w, [coeff.sum()]])
+
+
 def svm_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, l2_lambda: float):
     """Mean squared hinge max(0, 1 - s z)^2, s = 2y - 1, plus L2 on the weights;
     the L2-loss linear SVM. Packs theta and returns like logreg_loss_grad."""
-    w, b = theta[:-1], theta[-1]
-    s = 2.0 * y - 1.0
-    slack = np.maximum(1.0 - s * (X @ w + b), 0.0)
-    loss = float(np.mean(slack * slack) + 0.5 * l2_lambda * w @ w)
-    coeff = (-2.0 / len(y)) * s * slack
-    grad = np.concatenate([X.T @ coeff + l2_lambda * w, [coeff.sum()]])
-    return loss, grad
+    z = _affine(theta, X)
+    return _svm_loss(z, y, theta[:-1], l2_lambda), _svm_grad(z, X, y, theta[:-1], l2_lambda)
+
+
+# kind -> (loss half, gradient half, c): the loss's second derivative in z is
+# at most c, so the mean loss has curvature at most c lambda_max(G / n) + lambda.
+_HALVES = {"logreg": (_logreg_loss, _logreg_grad, 0.25), "svm": (_svm_loss, _svm_grad, 2.0)}
 
 
 def _descend(loss_grad, X, y, config: TrainConfig):
-    """Armijo-backtracked gradient descent on ``loss_grad`` from theta = 0; returns (w, b)."""
-    y = y.astype(float)
-    theta = np.zeros(X.shape[1] + 1)
-    loss, grad = loss_grad(theta, X, y, config.l2_lambda)
+    """Armijo-backtracked gradient descent on ``loss_grad`` from theta = 0; returns (w, b).
+
+    Where L <= 1 bounds the curvature, the descent lemma passes the unit step's test
+    f(theta - g) <= f(theta) - |g|^2 / 2 by (1 - L) |g|^2 / 2; while that margin exceeds
+    the rounding bound below, no loss is evaluated. The steps stay the same to the bit.
+    """
+    loss_half, grad_half, c = _HALVES[config.kind]
+    y, lam = y.astype(float), config.l2_lambda
+    n, d = X.shape
+    sums = X.sum(axis=0)[:, None]
+    gram = np.block([[X.T @ X, sums], [sums.T, n]]) / n  # G / n, G the Gram matrix of [X 1]
+    curvature = c * np.linalg.eigvalsh(gram)[-1] + lam
+    rms = np.sqrt(np.diag(gram))  # root mean square of each column of [X 1]
+    # Rounding bound, u = 2^-53: A = 1 + rms . (|theta| + |g|) bounds 1 + the mean of
+    # sum_j |x_j theta_j| over rows x of [X 1] at theta and theta - g (Cauchy-Schwarz).
+    # With elementary functions good to a few ulps, each computed loss is within
+    # u (2d + log2 n + 24) A^2 (the hinge's slack is at most 1 + |z|); g within
+    # u |rms| (2n + 2d + 14) A, moving f(theta - g) by |g| times that; G / n within
+    # u (n + 8d) |rms|^2, moving the margin by |g|^2 times that. Rounding theta - g and
+    # the test adds 4 u A^2, as |g|^2 / 2 <= f(theta) <= f(0) <= 1 while L <= 1.
+    # In all, under u (2n + 64 (d + 1)) (A (1 + |g| |rms|))^2.
+    ulps = np.finfo(float).eps / 2 * (2 * n + 64 * (d + 1))
+    theta = np.zeros(d + 1)
+    loss, grad = loss_grad(theta, X, y, lam)
     for _ in range(config.max_iters):
         gnorm2 = grad @ grad
         if np.sqrt(gnorm2) <= TOLERANCE:
             break
+        scale = (1.0 + rms @ (np.abs(theta) + np.abs(grad))) * (1.0 + np.sqrt(gnorm2 * (rms @ rms)))
+        decided = 0.5 * (1.0 - curvature) * gnorm2 > ulps * scale**2
+        if not decided and loss is None:
+            loss = loss_half(_affine(theta, X), y, theta[:-1], lam)
         step = 1.0
         for _ in range(60):  # Armijo backtracking
             candidate = theta - step * grad
-            new_loss, new_grad = loss_grad(candidate, X, y, config.l2_lambda)
-            if new_loss <= loss - 0.5 * step * gnorm2:
+            z = _affine(candidate, X)
+            new_loss = None if decided else loss_half(z, y, candidate[:-1], lam)
+            if decided or new_loss <= loss - 0.5 * step * gnorm2:
                 break
             step *= 0.5
-        theta, loss, grad = candidate, new_loss, new_grad
+        theta, loss, grad = candidate, new_loss, grad_half(z, X, y, candidate[:-1], lam)
     return theta[:-1], float(theta[-1])
 
 

@@ -301,7 +301,7 @@ def load_episode_log(path) -> LabeledEpisode:
             fingertip = str(record["fingertip"])
             taxels = np.array(record["taxels"], dtype=float)
             label = record["label"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
         if not math.isfinite(t):
             raise ParseError(f"non-finite timestamp {t}", line=lineno)

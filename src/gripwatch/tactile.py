@@ -169,7 +169,7 @@ def load_geometry(path, tol: float = SO3_TOL_FILE) -> FingertipGeometry:
         if len(flat) != n_s:
             raise ParseError(f"expected {n_s} rotations, found {len(flat)}")
         rotations = np.array(flat, dtype=float).reshape(n_s, 3, 3)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed geometry file: {exc}") from exc
     geometry = FingertipGeometry(rotations)
     violations = validate_geometry(geometry, tol=tol)

@@ -297,6 +297,43 @@ def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
     assert len(out) == 79 - 13
 
 
+# An integer too large for a float, and one past int's digit limit for str
+# to int conversion, which json.loads reports as a plain ValueError.
+HUGE = {"past float": "1" + "0" * 400, "past the digit limit": "1" + "0" * 5000}
+
+
+def _with_huge(record, path, digits):
+    """``record`` as a JSON line whose value at ``path`` is the integer ``digits``."""
+    record = json.loads(json.dumps(record))
+    *keys, last = path
+    inner = record
+    for key in keys:
+        inner = inner[key]
+    inner[last] = "HUGE"
+    return json.dumps(record).replace('"HUGE"', digits)
+
+
+@pytest.mark.parametrize(
+    "digits, error",
+    [(HUGE["past float"], "OverflowError"), (HUGE["past the digit limit"], "ValueError")],
+    ids=list(HUGE),
+)
+def test_detect_reports_a_huge_number_and_goes_on(workspace, capsys, tmp_path, digits, error):
+    lines = _episode_lines(workspace)
+    frame = {**json.loads(lines[1]), "fingertip": "other"}
+    bad = [_with_huge(frame, ("t",), digits), _with_huge(frame, ("taxels", 0, 0), digits)]
+    stream = tmp_path / "huge.jsonl"
+    stream.write_bytes(b"\n".join([lines[0], *(b.encode() for b in bad), *lines[1:80]]) + b"\n")
+    assert main(_detect_argv(workspace, "--tau", "0.5", "--in", str(stream))) == 0
+    captured = capsys.readouterr()
+    errors = [ERROR_LINE.match(line) for line in captured.err.splitlines()]
+    assert all(errors), captured.err
+    assert [(int(m[1]), m[2]) for m in errors] == [(2, error), (3, error)]
+    out = [_strict_json(line) for line in captured.out.splitlines()]
+    assert len(out) == 79 - 13  # the other fingertip's frames are all detected
+    assert {d["fingertip"] for d in out} == {json.loads(lines[1])["fingertip"]}
+
+
 def test_short_stream_with_auto_tau_flushes_at_end(workspace, capsys, tmp_path):
     short = tmp_path / "short.jsonl"
     short.write_bytes(b"\n".join(_episode_lines(workspace)[:32]) + b"\n")  # header + 31
@@ -601,6 +638,44 @@ def test_json_that_is_not_an_object_is_a_parse_error(
     assert main(argvs[command]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
+
+
+# (command, file of the workspace, its line, where in that line's object)
+HUGE_IN_FILES = [
+    ("extract --in", "episode", 1, ("t",)),
+    ("extract --in", "episode", 1, ("taxels", 0, 0)),
+    ("train --features", "features.jsonl", 1, ("fa",)),
+    ("detect --geometry", "data/geometry.json", 0, ("rotations", 0, 0)),
+    ("eval --model", "model.json", 0, ("bias",)),
+]
+
+
+@pytest.mark.parametrize("digits", HUGE.values(), ids=list(HUGE))
+@pytest.mark.parametrize(
+    "command, name, lineno, path", HUGE_IN_FILES, ids=[f"{c}, {p[0]}" for c, _, _, p in HUGE_IN_FILES]
+)
+def test_a_huge_number_in_a_file_is_a_parse_error(
+    workspace, tmp_path, capsys, command, name, lineno, path, digits
+):
+    episode = sorted((workspace / "data").glob("episode*.jsonl"))[0]
+    source = episode if name == "episode" else workspace / name
+    lines = source.read_text().splitlines()
+    lines[lineno] = _with_huge(json.loads(lines[lineno]), path, digits)
+    bad_dir = tmp_path / "data"
+    bad_dir.mkdir()
+    bad = bad_dir / source.name
+    bad.write_text("\n".join(lines) + "\n")
+    model = str(workspace / "model.json")
+    argvs = {
+        "extract --in": ["extract", "--in", str(bad_dir), "--out", str(tmp_path / "f.jsonl")],
+        "train --features": ["train", "--features", str(bad), "--out", str(tmp_path / "m.json")],
+        "detect --geometry": ["detect", "--model", model, "--geometry", str(bad), "--in", str(episode)],
+        "eval --model": ["eval", "--model", str(bad), "--features", str(workspace / "features.jsonl")],
+    }
+    assert main(argvs[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" or command == "extract --in"
+    assert captured.err.startswith("error: ParseError: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_pipeline_at_n_w_8_takes_the_window_from_the_model(workspace, tmp_path, capsys):
