@@ -43,7 +43,6 @@ from .tactile import (
     aggregate_tip_force,
     load_geometry,
     save_geometry,
-    validate_geometry,
 )
 
 __version__ = "0.1.0"

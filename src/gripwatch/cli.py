@@ -138,7 +138,7 @@ def _cmd_extract(args):
 
 def _cmd_train(args):
     X, y, dwt_config = _read_features(args.features)
-    mask = mask_from_names(args.mask.split(",")) if args.mask else DEFAULT_MASK
+    mask = DEFAULT_MASK if args.mask is None else mask_from_names(args.mask.split(","))
     config = TrainConfig(kind=args.kind, l2_lambda=args.l2)
     model = train((X, y), config, mask, dwt_config)
     save_model(model, args.out)

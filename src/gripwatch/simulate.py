@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -33,6 +34,18 @@ VIBRATION_RATIO = 0.3
 _DIRECTIONS = {"downward": np.array([0.0, 0.0, -1.0]), "lateral": np.array([0.0, 1.0, 0.0])}
 
 
+# Every config check is written as `not <the valid range>`, so that NaN,
+# which fails every comparison, fails it too.
+def _check_non_negative(name: str, value) -> None:
+    if not 0 <= value < math.inf:
+        raise InvalidConfig(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_integer(name: str, value, least, most=math.inf) -> None:
+    if not isinstance(value, numbers.Integral) or not least <= value <= most:
+        raise InvalidConfig(f"{name} must be an integer in {least}..{most}, got {value}")
+
+
 @dataclass(frozen=True)
 class PhaseDurations:
     no_contact: float = 1.5
@@ -40,6 +53,10 @@ class PhaseDurations:
     locked: float = 13.0
     disturbance: float = 3.0
     release: float = 0.3
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            _check_non_negative(f"phase duration {name}", value)
 
     def total(self) -> float:
         return self.no_contact + self.ramp + self.locked + self.disturbance + self.release
@@ -51,6 +68,14 @@ class DisturbanceConfig:
     magnitude: float = 4.0
     duration_s: float = 0.45
     direction_mode: str = "random"  # random | downward | lateral
+
+    def __post_init__(self):
+        _check_integer("disturbance.count", self.count, 0)
+        if not math.isfinite(self.magnitude):
+            raise InvalidConfig(f"disturbance.magnitude must be finite, got {self.magnitude}")
+        _check_non_negative("disturbance.duration_s", self.duration_s)
+        if self.direction_mode not in ("random", "downward", "lateral"):
+            raise InvalidConfig(f"unknown direction_mode {self.direction_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -66,24 +91,14 @@ class EpisodeConfig:
     contact_taxels: int = 6
     fingertip_id: str = "ft0"
 
-    def validate(self):
-        p = self.phase_durations
-        if self.sample_rate_hz <= 0:
-            raise InvalidConfig("sample_rate_hz must be positive")
-        if min(p.no_contact, p.ramp, p.locked, p.disturbance, p.release) < 0:
-            raise InvalidConfig("phase durations must be non-negative")
-        if self.noise_std < 0:
-            raise InvalidConfig("noise_std must be non-negative")
-        if self.disturbance.count < 0:
-            raise InvalidConfig("disturbance.count must be non-negative")
-        if self.disturbance.duration_s < 0:
-            raise InvalidConfig("disturbance.duration_s must be non-negative")
-        if self.disturbance.direction_mode not in ("random", "downward", "lateral"):
-            raise InvalidConfig(
-                f"unknown direction_mode {self.disturbance.direction_mode!r}"
-            )
-        if not 0 < self.contact_taxels <= self.n_s:
-            raise InvalidConfig("contact_taxels must be in 1..n_s")
+    def __post_init__(self):
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise InvalidConfig(f"sample_rate_hz must be in (0, inf), got {self.sample_rate_hz}")
+        if not all(math.isfinite(f) for f in self.locked_force):
+            raise InvalidConfig(f"locked_force must be finite, got {self.locked_force}")
+        _check_non_negative("noise_std", self.noise_std)
+        _check_integer("n_s", self.n_s, 1)
+        _check_integer("contact_taxels", self.contact_taxels, 1, self.n_s)
 
 
 @dataclass(frozen=True)
@@ -141,7 +156,6 @@ def _sample_index(t_seconds: float, rate: float) -> int:
 
 def generate_episode(config: EpisodeConfig) -> LabeledEpisode:
     """Generate one episode, deterministically from config.seed."""
-    config.validate()
     p = config.phase_durations
     rate = config.sample_rate_hz
     n = _sample_index(p.total(), rate)
@@ -229,7 +243,6 @@ def generate_dataset(
     """
     if n_objects < 1 or episodes_per_object < 1:
         raise InvalidConfig("n_objects and episodes_per_object must be >= 1")
-    base.validate()
     jitter_rng = np.random.default_rng(base.seed)
     force_scale = jitter_rng.uniform(0.7, 1.3, size=n_objects)
     noise_scale = jitter_rng.uniform(0.6, 1.4, size=n_objects)
@@ -293,7 +306,7 @@ def load_episode_log(path) -> LabeledEpisode:
     if "config" in header:
         try:
             metadata = _config_from_dict(header["config"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig) as exc:
             raise ParseError(f"bad config echo: {exc}", line=lineno) from exc
     for lineno, record in records:
         try:

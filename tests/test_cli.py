@@ -544,7 +544,8 @@ def test_train_rejects_unlabeled_features(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "option",
-    [["--l2", "nan"], ["--l2", "inf"]],
+    # an empty mask names the feature '', not the default mask
+    [["--l2", "nan"], ["--l2", "inf"], ["--mask", ""]],
     ids=lambda option: " ".join(option),
 )
 def test_train_refuses_a_non_finite_lambda(workspace, tmp_path, capsys, option):
@@ -807,6 +808,69 @@ def test_feature_file_without_a_valid_window_is_a_parse_error(workspace, tmp_pat
         assert err.startswith("error: ParseError: line 1: bad feature header: n_w")
         assert err.count("\n") == 1
     assert not (tmp_path / "m.json").exists()
+
+
+MALFORMED_GEOMETRY = "ParseError: malformed geometry file: "
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda g: g["rotations"].__setitem__(1, [1.0, 0, 0, 0, 1.0, 0, 0, 0, -1.0]),
+        lambda g: g["rotations"].__setitem__(0, [1.1, 0, 0, 0, 1.1, 0, 0, 0, 1.1]),
+        lambda g: g["rotations"][0].__setitem__(0, float("nan")),
+        lambda g: g.update(rotations=g["rotations"][:-1]),
+        lambda g: g.update(n_s=2.5, rotations=g["rotations"][:2]),
+        lambda g: g.update(n_s=True, rotations=g["rotations"][:1]),
+        lambda g: g.update(n_s="2", rotations=g["rotations"][:2]),
+    ],
+    ids=["reflection", "1.1 I", "NaN entry", "one rotation short", "n_s 2.5", "n_s true", "n_s '2'"],
+)
+def test_detect_rejects_a_bad_geometry_file_before_any_frame(workspace, tmp_path, capsys, edit):
+    payload = json.loads((workspace / "data" / "geometry.json").read_text())
+    edit(payload)
+    geometry = tmp_path / "geometry.json"
+    geometry.write_text(json.dumps(payload))
+    episode = str(sorted((workspace / "data").glob("episode*.jsonl"))[0])
+    argv = ["detect", "--model", str(workspace / "model.json"), "--geometry", str(geometry)]
+    assert main([*argv, "--tau", "0.5", "--in", episode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {MALFORMED_GEOMETRY}"), captured.err
+    assert captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.update(sample_rate_hz=float("nan")),
+        lambda c: c.update(noise_std=float("inf")),
+        lambda c: c["phase_durations"].update(locked=-1.0),
+        lambda c: c["disturbance"].update(count=2.5),
+        lambda c: c["locked_force"].__setitem__(0, 10**400),
+    ],
+    ids=[
+        "NaN sample rate",
+        "infinite noise_std",
+        "negative locked duration",
+        "count 2.5",
+        "locked force past float",
+    ],
+)
+def test_extract_rejects_a_bad_config_echo(workspace, tmp_path, capsys, edit):
+    episode = sorted((workspace / "data").glob("episode*.jsonl"))[0]
+    header, *frames = episode.read_text().splitlines()
+    header = json.loads(header)
+    edit(header["config"])
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / episode.name).write_text("\n".join([json.dumps(header), *frames]) + "\n")
+    out = tmp_path / "f.jsonl"
+    assert main(["extract", "--in", str(data), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ParseError: line 1: bad config echo: "), captured.err
+    assert captured.err.count("\n") == 1, captured.err
 
 
 def test_usage_error_exit_code():

@@ -8,6 +8,7 @@ import pytest
 from gripwatch.errors import InvalidConfig, InvariantViolation, NonFiniteInput, ParseError
 from gripwatch.evaluate import dataset_feature_matrix, episode_feature_matrix
 from gripwatch.features import DwtConfig
+from gripwatch.models import TrainConfig
 from gripwatch.simulate import (
     DisturbanceConfig,
     EpisodeConfig,
@@ -134,13 +135,31 @@ def test_single_episode_dataset_matches_generate_episode():
 
 def test_invalid_configs_rejected():
     with pytest.raises(InvalidConfig):
-        generate_episode(EpisodeConfig(sample_rate_hz=0))
+        EpisodeConfig(sample_rate_hz=0)
     with pytest.raises(InvalidConfig):
-        generate_episode(EpisodeConfig(noise_std=-1))
+        EpisodeConfig(noise_std=-1)
     with pytest.raises(InvalidConfig):
-        generate_episode(EpisodeConfig(disturbance=DisturbanceConfig(direction_mode="up")))
+        DisturbanceConfig(direction_mode="up")
+    with pytest.raises(InvalidConfig):
+        EpisodeConfig(n_s=4, contact_taxels=5)
     with pytest.raises(InvalidConfig):
         generate_dataset(0, 1, EpisodeConfig())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "record", [EpisodeConfig, PhaseDurations, DisturbanceConfig, TrainConfig], ids=lambda r: r.__name__
+)
+def test_config_records_refuse_a_non_finite_float(record, bad):
+    # Every float field, found by walking the record, so that a field added
+    # later, or a check written as `x < 0` that NaN slips past, shows here.
+    edits = [{f.name: bad} for f in dataclasses.fields(record) if f.type in ("float", float)]
+    if record is EpisodeConfig:
+        edits += [{"locked_force": tuple(bad if j == i else 1.0 for j in range(3))} for i in range(3)]
+    assert edits
+    for edit in edits:
+        with pytest.raises((InvalidConfig, InvariantViolation)):
+            record(**edit)
 
 
 def test_episode_log_round_trip(tmp_path):

@@ -12,7 +12,6 @@ from gripwatch.tactile import (
     aggregate_tip_force,
     load_geometry,
     save_geometry,
-    validate_geometry,
 )
 
 finite_forces = arrays(
@@ -122,29 +121,34 @@ def test_aggregate_series_matches_per_frame():
     q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     q[np.linalg.det(q) < 0] *= -1.0
     rotated = FingertipGeometry(q)
-    assert validate_geometry(rotated) == []
     _, f_tip, _ = aggregate_series(frames, rotated)
     expected = np.einsum("ijk,nik->nj", rotated.rotations, taxels)
     assert np.max(np.abs(f_tip - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_validate_geometry_identity_is_clean():
-    assert validate_geometry(FingertipGeometry.identity(5)) == []
-
-
-def test_validate_geometry_flags_reflection():
+def test_geometry_refuses_a_reflection():
     rots = np.broadcast_to(np.eye(3), (3, 3, 3)).copy()
     rots[1] = np.diag([1.0, 1.0, -1.0])
-    violations = validate_geometry(FingertipGeometry(rots))
-    assert [v.index for v in violations] == [1]
-    assert violations[0].determinant == pytest.approx(-1.0)
+    with pytest.raises(InvariantViolation, match=r"not in SO\(3\) at indices \[1\]$"):
+        FingertipGeometry(rots)
 
 
-def test_validate_geometry_scaled_identity_residual():
-    # R = 1.1 I gives R^T R - I = 0.21 I, so the max-entry residual is 0.21
-    violations = validate_geometry(FingertipGeometry((1.1 * np.eye(3))[None]))
-    assert len(violations) == 1
-    assert violations[0].orthogonality_residual == pytest.approx(0.21, abs=1e-12)
+def test_geometry_refuses_a_scaled_identity():
+    # R = 1.1 I: R^T R - I = 0.21 I and det R = 1.331
+    with pytest.raises(InvariantViolation, match=r"at indices \[0\]$"):
+        FingertipGeometry((1.1 * np.eye(3))[None])
+
+
+def test_geometry_accepts_identity_and_qr_rotations():
+    q, r = np.linalg.qr(np.random.default_rng(5).normal(size=(30, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0] *= -1.0
+    for rotations in (FingertipGeometry.identity(5).rotations, q):
+        geometry = FingertipGeometry(rotations)
+        assert not geometry.rotations.flags.writeable
+        # far inside the tolerance, so that a JSON round trip cannot leave it
+        residual = np.abs(geometry.rotations.transpose(0, 2, 1) @ geometry.rotations - np.eye(3))
+        assert residual.max() < 1e-14 and np.abs(np.linalg.det(rotations) - 1.0).max() < 1e-14
 
 
 def test_geometry_file_round_trip(tmp_path):
@@ -158,7 +162,7 @@ def test_geometry_file_round_trip(tmp_path):
 def test_geometry_file_rejects_non_rotation(tmp_path):
     path = tmp_path / "geom.json"
     path.write_text('{"n_s": 1, "rotations": [[2,0,0, 0,1,0, 0,0,1]]}\n')
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ParseError, match=r"^malformed geometry file: .* at indices \[0\]$"):
         load_geometry(path)
 
 
@@ -169,7 +173,7 @@ def test_geometry_file_rejects_a_non_finite_rotation_entry(tmp_path, entry):
     path = tmp_path / "geom.json"
     rotations = f"[[1,0,0, 0,1,0, 0,0,1], [{entry},0,0, 0,1,0, 0,0,1]]"
     path.write_text(f'{{"n_s": 2, "rotations": {rotations}}}\n')
-    with pytest.raises(InvariantViolation, match="NaN/Inf"):
+    with pytest.raises(ParseError, match="^malformed geometry file: rotations contain NaN/Inf$"):
         load_geometry(path)
 
 
