@@ -36,7 +36,7 @@ from . import evaluate as ev
 from .detect import MultiFingerDetector
 from .errors import GripwatchError, InvalidConfig, ParseError
 from .features import FEATURE_NAMES, DwtConfig
-from .files import read_jsonl, write_json, write_jsonl
+from .files import is_integer, is_number, read_jsonl, write_json, write_jsonl
 from .models import (
     DEFAULT_MASK,
     TrainConfig,
@@ -75,8 +75,7 @@ def _write_features(path, rows, n_w):
 
 
 def _read_features(path):
-    """A labeled feature file as (X (n, 6), y (n), its DwtConfig); labels are
-    kept as read, so that a label other than 0 or 1 reaches the label check."""
+    """A labeled feature file as (X (n, 6), y (n), its DwtConfig)."""
     records = read_jsonl(path, FEATURES_FORMAT, FEATURES_VERSION)
     lineno, header = next(records)
     try:
@@ -86,10 +85,15 @@ def _read_features(path):
     rows = []
     for lineno, record in records:
         try:
-            if record["label"] is None:
-                raise ParseError("unlabeled features", line=lineno)
-            rows.append([float(record[key]) for key in FEATURE_KEYS])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            *row, label = (record[key] for key in FEATURE_KEYS)
+            if label is None:
+                raise ValueError("unlabeled features")
+            if not (is_integer(label) and label in (0, 1)):
+                raise ValueError(f"label must be 0 or 1, got {label!r}")
+            if not all(map(is_number, row)):
+                raise ValueError(f"{', '.join(FEATURE_KEYS[:-1])} must be numbers, got {row}")
+            rows.append([*map(float, row), label])  # OverflowError past the float range
+        except (KeyError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad feature record: {exc}", line=lineno) from exc
     if not rows:
         raise ParseError("no feature rows")
@@ -250,13 +254,9 @@ def _detect_line(detector, lineno, line):
         record = json.loads(line)
         if isinstance(record, dict) and "format" in record:  # episode header line
             return 0
-        frame = TaxelFrame(
-            float(record["t"]),
-            str(record["fingertip"]),
-            np.array(record["taxels"], dtype=float),
-        )
+        frame = TaxelFrame(record["t"], record["fingertip"], np.array(record["taxels"]))
         detections = detector.process(frame)
-    # ValueError covers invalid JSON and UTF-8, OverflowError a number past float.
+    # ValueError: invalid JSON or UTF-8, or ragged taxels; OverflowError: a number past float.
     except (GripwatchError, KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"error: frame {lineno}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 0

@@ -14,13 +14,13 @@ window per pushed sample.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadWindowLength, InvalidConfig, NonFiniteInput, OutOfOrderTimestamp
+from .files import is_integer
 from .tactile import ForceSample
 
 SQRT2 = float(np.sqrt(2.0))
@@ -33,8 +33,8 @@ class DwtConfig:
     n_w: int = 14
 
     def __post_init__(self):
-        if not isinstance(self.n_w, numbers.Integral) or self.n_w < 2 or self.n_w % 2:
-            raise InvalidConfig(f"n_w must be a positive even integer, got {self.n_w}")
+        if not (is_integer(self.n_w) and self.n_w >= 2 and self.n_w % 2 == 0):
+            raise InvalidConfig(f"n_w must be a positive even integer, got {self.n_w!r}")
 
 
 class HaarDecomposition(NamedTuple):

@@ -7,13 +7,36 @@ names the file's ``format`` and ``version``, then one object per record.
 Every reader reports malformed content, including invalid UTF-8, as
 ParseError and a header of another version as VersionMismatch. An OSError
 passes through as itself.
+
+What a number is, for every record that holds one, is decided here too. A
+reader hands the raw JSON values to a record, which checks them by these rules.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .errors import ParseError, VersionMismatch
+
+
+def is_number(value) -> bool:
+    """An int or a float, numpy scalars included; never a bool (which Python
+    counts as an int) or a string."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """A number that is an int or a numpy integer."""
+    return is_number(value) and isinstance(value, (int, np.integer))
+
+
+def is_number_array(array: np.ndarray) -> bool:
+    """An array of numbers: of integer or float dtype, or, as numpy holds
+    integers past 64 bits, of object dtype with every entry a number."""
+    kind = array.dtype.kind
+    return kind in "iuf" or (kind == "O" and all(map(is_number, array.flat)))
 
 
 def _object(data: bytes, what: str, line=None) -> dict:

@@ -18,7 +18,6 @@ reads and constructs, so any malformed model file is one ParseError.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -34,7 +33,7 @@ from .errors import (
     SingleClassDataset,
 )
 from .features import FEATURE_NAMES, DwtConfig
-from .files import check_header, read_json, write_json
+from .files import check_header, is_integer, is_number, is_number_array, read_json, write_json
 
 MODEL_FORMAT = "gripwatch-model"
 MODEL_VERSION = 3
@@ -62,10 +61,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.kind not in ("logreg", "svm"):
             raise InvariantViolation(f"unknown model kind {self.kind!r}")
-        if not 0 <= self.l2_lambda < np.inf:
-            raise InvariantViolation(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise InvariantViolation(f"max_iters must be an integer >= 1, got {self.max_iters}")
+        if not (is_number(self.l2_lambda) and 0 <= self.l2_lambda < np.inf):
+            raise InvariantViolation(f"l2_lambda must be finite and >= 0, got {self.l2_lambda!r}")
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
+            raise InvariantViolation(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -87,12 +86,16 @@ class LinearModel:
         if not any(mask):
             raise InvariantViolation("mask keeps no features")
         object.__setattr__(self, "feature_mask", mask)
+        if not is_number(self.bias):
+            raise InvariantViolation(f"bias must be a number, got {self.bias!r}")
         object.__setattr__(self, "bias", float(self.bias))
         for name in ("weights", "means", "stds"):
-            array = np.asarray(getattr(self, name), dtype=float)
-            if array.shape != (sum(mask),):
-                raise InvariantViolation(f"{name} of shape {array.shape}, not ({sum(mask)},)")
-            object.__setattr__(self, name, array)
+            array = np.asarray(getattr(self, name))
+            if not is_number_array(array) or array.shape != (sum(mask),):
+                raise InvariantViolation(
+                    f"{name} of shape {array.shape}, not ({sum(mask)},) numbers ({array.dtype})"
+                )
+            object.__setattr__(self, name, array.astype(float, copy=False))
         if not all(np.isfinite(p).all() for p in (self.weights, self.bias, self.means, self.stds)):
             raise InvariantViolation("non-finite model parameter")
         if np.any(self.stds <= 0):

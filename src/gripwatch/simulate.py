@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidConfig, InvariantViolation, ParseError
-from .files import read_jsonl, write_jsonl
+from .errors import GripwatchError, InvalidConfig, InvariantViolation, ParseError
+from .files import is_integer, is_number, read_jsonl, write_jsonl
 from .models import check_binary_labels
 from .tactile import DEFAULT_N_S, FingertipGeometry, TaxelFrame, aggregate_taxels
 
@@ -37,13 +36,13 @@ _DIRECTIONS = {"downward": np.array([0.0, 0.0, -1.0]), "lateral": np.array([0.0,
 # Every config check is written as `not <the valid range>`, so that NaN,
 # which fails every comparison, fails it too.
 def _check_non_negative(name: str, value) -> None:
-    if not 0 <= value < math.inf:
-        raise InvalidConfig(f"{name} must be finite and >= 0, got {value}")
+    if not (is_number(value) and 0 <= value < math.inf):
+        raise InvalidConfig(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _check_integer(name: str, value, least, most=math.inf) -> None:
-    if not isinstance(value, numbers.Integral) or not least <= value <= most:
-        raise InvalidConfig(f"{name} must be an integer in {least}..{most}, got {value}")
+    if not (is_integer(value) and least <= value <= most):
+        raise InvalidConfig(f"{name} must be an integer in {least}..{most}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,8 @@ class DisturbanceConfig:
 
     def __post_init__(self):
         _check_integer("disturbance.count", self.count, 0)
-        if not math.isfinite(self.magnitude):
-            raise InvalidConfig(f"disturbance.magnitude must be finite, got {self.magnitude}")
+        if not (is_number(self.magnitude) and math.isfinite(self.magnitude)):
+            raise InvalidConfig(f"disturbance.magnitude must be finite, got {self.magnitude!r}")
         _check_non_negative("disturbance.duration_s", self.duration_s)
         if self.direction_mode not in ("random", "downward", "lateral"):
             raise InvalidConfig(f"unknown direction_mode {self.direction_mode!r}")
@@ -92,11 +91,13 @@ class EpisodeConfig:
     fingertip_id: str = "ft0"
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise InvalidConfig(f"sample_rate_hz must be in (0, inf), got {self.sample_rate_hz}")
-        if not all(math.isfinite(f) for f in self.locked_force):
+        _check_integer("seed", self.seed, 0)
+        if not (is_number(self.sample_rate_hz) and 0 < self.sample_rate_hz < math.inf):
+            raise InvalidConfig(f"sample_rate_hz must be in (0, inf), got {self.sample_rate_hz!r}")
+        if not all(is_number(f) and math.isfinite(f) for f in self.locked_force):
             raise InvalidConfig(f"locked_force must be finite, got {self.locked_force}")
         _check_non_negative("noise_std", self.noise_std)
+        _check_integer("object_id", self.object_id, 0)
         _check_integer("n_s", self.n_s, 1)
         _check_integer("contact_taxels", self.contact_taxels, 1, self.n_s)
 
@@ -296,7 +297,8 @@ def save_episode_log(episode: LabeledEpisode, path) -> None:
 
 
 def load_episode_log(path) -> LabeledEpisode:
-    """Parse an episode log, reporting the offending line on failure."""
+    """Parse an episode log, reporting the offending line on failure. Each
+    line is checked as a TaxelFrame; what spans lines is checked here."""
     ts, taxel_rows, labels = [], [], []
     fingertip_id = None
     metadata = None
@@ -310,37 +312,30 @@ def load_episode_log(path) -> LabeledEpisode:
             raise ParseError(f"bad config echo: {exc}", line=lineno) from exc
     for lineno, record in records:
         try:
-            t = float(record["t"])
-            fingertip = str(record["fingertip"])
-            taxels = np.array(record["taxels"], dtype=float)
-            label = record["label"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
-        if not math.isfinite(t):
-            raise ParseError(f"non-finite timestamp {t}", line=lineno)
-        if taxels.ndim != 2 or taxels.shape[1] != 3:
-            raise ParseError(
-                f"taxels must be an n_s x 3 array, got shape {taxels.shape}", line=lineno
+            frame = TaxelFrame(
+                record["t"], record["fingertip"], np.array(record["taxels"]), record["label"]
             )
+        except KeyError as exc:
+            raise ParseError(f"no {exc} field", line=lineno) from exc
+        except (ValueError, OverflowError, GripwatchError) as exc:  # ragged taxels, a huge integer
+            raise ParseError(str(exc), line=lineno) from exc
+        if frame.label is None:
+            raise ParseError("label must be 0 or 1, got None", line=lineno)
         if n_s is None:
-            n_s = taxels.shape[0]
-        elif taxels.shape[0] != n_s:
-            raise ParseError(
-                f"expected {n_s} taxel readings, found {taxels.shape[0]}", line=lineno
-            )
-        if label not in (0, 1):
-            raise ParseError(f"label must be 0 or 1, got {label}", line=lineno)
+            n_s = frame.n_s
+        elif frame.n_s != n_s:
+            raise ParseError(f"expected {n_s} taxel readings, found {frame.n_s}", line=lineno)
         if fingertip_id is None:
-            fingertip_id = fingertip
-        elif fingertip != fingertip_id:
+            fingertip_id = frame.fingertip_id
+        elif frame.fingertip_id != fingertip_id:
             raise ParseError(
-                f"fingertip {fingertip!r} differs from {fingertip_id!r}", line=lineno
+                f"fingertip {frame.fingertip_id!r} differs from {fingertip_id!r}", line=lineno
             )
-        if ts and t < ts[-1]:
-            raise ParseError(f"timestamp {t} decreases below {ts[-1]}", line=lineno)
-        ts.append(t)
-        taxel_rows.append(taxels)
-        labels.append(int(label))
+        if ts and frame.timestamp < ts[-1]:
+            raise ParseError(f"timestamp {frame.timestamp} decreases below {ts[-1]}", line=lineno)
+        ts.append(frame.timestamp)
+        taxel_rows.append(frame.taxels)
+        labels.append(frame.label)
     if not ts:
         raise ParseError("no frames")
     return LabeledEpisode(

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvariantViolation, LengthMismatch, NonFiniteInput, ParseError
-from .files import read_json, write_json
+from .files import is_integer, is_number, is_number_array, read_json, write_json
 
 DEFAULT_N_S = 30
 
@@ -19,11 +20,12 @@ SO3_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TaxelFrame:
-    """One timestamped reading of all taxels on a fingertip.
-
-    ``taxels`` is an (n_s, 3) array of force components, each row expressed in
-    its own taxel frame. Units are raw sensor units (sensors are uncalibrated).
-    """
+    """One timestamped reading of all taxels on a fingertip, and the one place
+    a frame is checked: a finite timestamp, stored as a float; a string id; an
+    (n_s, 3) array of numbers, stored read-only as floats, each row a force in
+    its own taxel frame, in raw sensor units (sensors are uncalibrated); and a
+    label that is None or the int 0 or 1. ``aggregate_taxels`` checks that
+    the taxels are finite."""
 
     timestamp: float
     fingertip_id: str
@@ -31,12 +33,24 @@ class TaxelFrame:
     label: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "taxels", np.asarray(self.taxels, dtype=float))
-        if self.taxels.ndim != 2 or self.taxels.shape[1] != 3:
+        if not is_number(self.timestamp):
+            raise InvariantViolation(f"timestamp must be a number, got {self.timestamp!r}")
+        timestamp = float(self.timestamp)  # OverflowError past the float range
+        if not math.isfinite(timestamp):
+            raise NonFiniteInput(f"non-finite timestamp {timestamp}")
+        if not isinstance(self.fingertip_id, str):
+            raise InvariantViolation(f"fingertip id must be a string, got {self.fingertip_id!r}")
+        taxels = np.asarray(self.taxels)
+        if not is_number_array(taxels) or taxels.ndim != 2 or taxels.shape[1] != 3:
             raise InvariantViolation(
-                f"taxels must be (n_s, 3), got {self.taxels.shape}"
+                f"taxels must be (n_s, 3) numbers, got {taxels.dtype} {taxels.shape}"
             )
-        self.taxels.setflags(write=False)
+        if self.label is not None and not (is_integer(self.label) and self.label in (0, 1)):
+            raise InvariantViolation(f"label must be 0 or 1, got {self.label!r}")
+        taxels = taxels.astype(float, copy=False)
+        taxels.setflags(write=False)
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "taxels", taxels)
 
     @property
     def n_s(self) -> int:
@@ -51,9 +65,12 @@ class FingertipGeometry:
     rotations: np.ndarray  # (n_s, 3, 3), each row-stacked matrix in SO(3)
 
     def __post_init__(self):
-        rotations = np.asarray(self.rotations, dtype=float)
-        if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
-            raise InvariantViolation(f"rotations must be (n_s, 3, 3), got {rotations.shape}")
+        rotations = np.asarray(self.rotations)
+        if not is_number_array(rotations) or rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
+            raise InvariantViolation(
+                f"rotations must be (n_s, 3, 3) numbers, got {rotations.dtype} {rotations.shape}"
+            )
+        rotations = rotations.astype(float, copy=False)
         if not np.isfinite(rotations).all():
             raise InvariantViolation("rotations contain NaN/Inf")
         # Huge entries overflow to inf and nan here; the <= tests refuse both.
@@ -147,8 +164,8 @@ def load_geometry(path) -> FingertipGeometry:
     payload = read_json(path, "geometry")
     try:
         n_s, flat = payload["n_s"], payload["rotations"]
-        if type(n_s) is not int or n_s != len(flat):  # a bool, float or string is refused
+        if not is_integer(n_s) or n_s != len(flat):
             raise ValueError(f"n_s must be {len(flat)}, the number of rotations, got {n_s!r}")
-        return FingertipGeometry(np.array(flat, dtype=float).reshape(n_s, 3, 3))
+        return FingertipGeometry(np.array(flat).reshape(n_s, 3, 3))
     except (KeyError, TypeError, ValueError, OverflowError, InvariantViolation) as exc:
         raise ParseError(f"malformed geometry file: {exc}") from exc

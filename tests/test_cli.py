@@ -285,7 +285,7 @@ def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
     assert [(int(m[1]), m[2]) for m in errors] == [
         (41, "JSONDecodeError"),
         (42, "KeyError"),
-        (43, "ValueError"),
+        (43, "InvariantViolation"),
         (44, "UnicodeDecodeError"),
         (45, "NonFiniteInput"),
         (46, "NonFiniteInput"),
@@ -302,15 +302,20 @@ def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
 HUGE = {"past float": "1" + "0" * 400, "past the digit limit": "1" + "0" * 5000}
 
 
-def _with_huge(record, path, digits):
-    """``record`` as a JSON line whose value at ``path`` is the integer ``digits``."""
+def _with_field(record, path, value):
+    """A copy of ``record`` whose value at ``path`` is ``value``."""
     record = json.loads(json.dumps(record))
     *keys, last = path
     inner = record
     for key in keys:
         inner = inner[key]
-    inner[last] = "HUGE"
-    return json.dumps(record).replace('"HUGE"', digits)
+    inner[last] = value
+    return record
+
+
+def _with_huge(record, path, digits):
+    """``record`` as a JSON line whose value at ``path`` is the integer ``digits``."""
+    return json.dumps(_with_field(record, path, "HUGE")).replace('"HUGE"', digits)
 
 
 @pytest.mark.parametrize(
@@ -568,11 +573,18 @@ def test_detect_refuses_a_bad_tau_before_any_frame(workspace, capsys, tau):
 def test_labels_other_than_zero_and_one_are_data_errors(workspace, tmp_path, capsys):
     signed = tmp_path / "signed.jsonl"
     lines = (workspace / "features.jsonl").read_text().splitlines()
-    # -1/+1, and 0.5/1.9, which int() would round to 0/1
-    for relabel in (lambda y: 2 * y - 1, lambda y: 0.5 + 1.4 * y):
+    # -1/+1, 0.5/1.9, which int() would round to 0/1, and the booleans, which
+    # Python counts as 0/1; and a feature written as a string
+    edits = (
+        lambda row: row.update(label=2 * row["label"] - 1),
+        lambda row: row.update(label=0.5 + 1.4 * row["label"]),
+        lambda row: row.update(label=bool(row["label"])),
+        lambda row: row.update(fa=str(row["fa"])),
+    )
+    for edit in edits:
         rows = [json.loads(l) for l in lines[1:]]
         for row in rows:
-            row["label"] = relabel(row["label"])
+            edit(row)
         signed.write_text("\n".join([lines[0]] + [json.dumps(r) for r in rows]) + "\n")
         argvs = (
             ["train", "--features", str(signed), "--out", str(tmp_path / "m.json")],
@@ -580,7 +592,9 @@ def test_labels_other_than_zero_and_one_are_data_errors(workspace, tmp_path, cap
         )
         for argv in argvs:
             assert main(argv) == 2
-            assert "error: InvariantViolation: " in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: ParseError: line 2: bad feature record: "), err
+            assert err.count("\n") == 1, err
         assert not (tmp_path / "m.json").exists()
 
 
@@ -743,6 +757,10 @@ BAD_MODEL_EDITS = pytest.mark.parametrize(
         (lambda m: m.update(weights=[[w, 5.0] for w in m["weights"]]), MALFORMED),
         (lambda m: m["mask"].__setitem__(0, 1), MALFORMED),
         (lambda m: m.update(bias=10**400), MALFORMED),
+        (lambda m: m.update(bias=str(m["bias"])), MALFORMED),
+        (lambda m: m.update(bias=True), MALFORMED),
+        (lambda m: m.update(weights=[str(w) for w in m["weights"]]), MALFORMED),
+        (lambda m: m["train_config"].update(max_iters=True), MALFORMED),
     ],
     ids=[
         "version 1",
@@ -760,6 +778,10 @@ BAD_MODEL_EDITS = pytest.mark.parametrize(
         "2-D weights",
         "non-boolean mask entry",
         "bias too large for a float",
+        "string bias",
+        "boolean bias",
+        "string weights",
+        "boolean max_iters",
     ],
 )
 
@@ -823,8 +845,13 @@ MALFORMED_GEOMETRY = "ParseError: malformed geometry file: "
         lambda g: g.update(n_s=2.5, rotations=g["rotations"][:2]),
         lambda g: g.update(n_s=True, rotations=g["rotations"][:1]),
         lambda g: g.update(n_s="2", rotations=g["rotations"][:2]),
+        lambda g: g.update(rotations=[[str(x) for x in r] for r in g["rotations"]]),
+        lambda g: g.update(rotations=[[bool(x) for x in r] for r in g["rotations"]]),
     ],
-    ids=["reflection", "1.1 I", "NaN entry", "one rotation short", "n_s 2.5", "n_s true", "n_s '2'"],
+    ids=[
+        "reflection", "1.1 I", "NaN entry", "one rotation short", "n_s 2.5", "n_s true", "n_s '2'",
+        "string entries", "boolean entries",
+    ],
 )
 def test_detect_rejects_a_bad_geometry_file_before_any_frame(workspace, tmp_path, capsys, edit):
     payload = json.loads((workspace / "data" / "geometry.json").read_text())
@@ -848,6 +875,8 @@ def test_detect_rejects_a_bad_geometry_file_before_any_frame(workspace, tmp_path
         lambda c: c["phase_durations"].update(locked=-1.0),
         lambda c: c["disturbance"].update(count=2.5),
         lambda c: c["locked_force"].__setitem__(0, 10**400),
+        lambda c: c.update(seed=2.5),
+        lambda c: c.update(object_id=float("nan")),
     ],
     ids=[
         "NaN sample rate",
@@ -855,6 +884,8 @@ def test_detect_rejects_a_bad_geometry_file_before_any_frame(workspace, tmp_path
         "negative locked duration",
         "count 2.5",
         "locked force past float",
+        "seed 2.5",
+        "NaN object_id",
     ],
 )
 def test_extract_rejects_a_bad_config_echo(workspace, tmp_path, capsys, edit):
@@ -871,6 +902,91 @@ def test_extract_rejects_a_bad_config_echo(workspace, tmp_path, capsys, edit):
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("error: ParseError: line 1: bad config echo: "), captured.err
     assert captured.err.count("\n") == 1, captured.err
+
+
+def _map_numbers(value, convert):
+    if isinstance(value, list):
+        return [_map_numbers(v, convert) for v in value]
+    return convert(value)
+
+
+def _type_mutants(record, paths):
+    """Copies of ``record`` with one number field in turn written as true, as
+    its string form and, for an array, with its entries as booleans."""
+    for path in paths:
+        value = record
+        for key in path:
+            value = value[key]
+        yield _with_field(record, path, True)
+        yield _with_field(record, path, _map_numbers(value, str))
+        if isinstance(value, list):
+            yield _with_field(record, path, _map_numbers(value, bool))
+
+
+FEATURE_FIELDS = [(key,) for key in ("t", "fa", "fx", "fy", "fz", "m", "sigma", "label")]
+MODEL_FIELDS = [("n_w",), ("means",), ("stds",), ("weights",), ("bias",)] + [
+    ("train_config", key) for key in ("l2_lambda", "max_iters")
+]
+# input -> (its line to edit, number fields, other edits, the start of its one error line)
+TYPE_SWEEP = {
+    # frame 40 of fingertip ft0 again, between ft0's frames and those of a
+    # fingertip "5": a numeric id must not reach "5"'s detector
+    "detect stream": (
+        41, [("t",), ("taxels",)], [{"fingertip": 5, "t": 99}, {"fingertip": None}],
+        "error: frame 42: ",
+    ),
+    "episode log": (
+        1, [("t",), ("taxels",), ("label",)], [{"fingertip": 5}], "error: ParseError: line 2: "
+    ),
+    "feature file": (1, FEATURE_FIELDS, [], "error: ParseError: line 2: "),
+    "model": (0, MODEL_FIELDS, [], "error: ParseError: malformed model file: "),
+    "geometry": (0, [("n_s",), ("rotations",)], [], f"error: {MALFORMED_GEOMETRY}"),
+}
+
+
+@pytest.mark.parametrize("source", TYPE_SWEEP)
+def test_a_bool_or_a_string_for_a_number_is_one_error_line(workspace, tmp_path, capsys, source):
+    lineno, paths, edits, error = TYPE_SWEEP[source]
+    episode = sorted((workspace / "data").glob("episode*.jsonl"))[0]
+    model, geometry = workspace / "model.json", workspace / "data" / "geometry.json"
+    path = {"model": model, "geometry": geometry, "feature file": workspace / "features.jsonl"}
+    lines = Path(path.get(source, episode)).read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    argv = {
+        "detect stream": _detect_argv(workspace, "--tau", "0.5", "--in", str(bad)),
+        "episode log": ["extract", "--in", str(bad), "--out", str(tmp_path / "f.jsonl")],
+        "feature file": ["train", "--features", str(bad), "--out", str(tmp_path / "m.json")],
+        "model": ["detect", "--model", str(bad), "--geometry", str(geometry)],
+        "geometry": ["detect", "--model", str(model), "--geometry", str(bad)],
+    }[source]
+    if source in ("model", "geometry"):
+        argv += ["--in", str(episode)]
+    rc, out = 2, ""
+    if source == "detect stream":
+        other = [json.dumps({**json.loads(line), "fingertip": "5"}) for line in lines[1:41]]
+        lines = [*lines[:41], *other]
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(argv) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        assert {json.loads(d)["fingertip"] for d in clean.out.splitlines()} == {"ft0", "5"}
+        rc, out = 0, clean.out  # every valid frame still reaches its fingertip's detector
+        lines.insert(lineno, lines[40])
+    record = json.loads(lines[lineno])
+    for mutant in [*_type_mutants(record, paths), *({**record, **edit} for edit in edits)]:
+        lines[lineno] = json.dumps(mutant)
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(argv) == rc, mutant
+        captured = capsys.readouterr()
+        assert captured.out == out, mutant
+        assert captured.err.startswith(error) and captured.err.count("\n") == 1, captured.err
+    assert not (tmp_path / "f.jsonl").exists() and not (tmp_path / "m.json").exists()
+
+
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["simulate", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: seed ") and err.count("\n") == 1, err
 
 
 def test_usage_error_exit_code():

@@ -146,14 +146,15 @@ def test_invalid_configs_rejected():
         generate_dataset(0, 1, EpisodeConfig())
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1"], ids=repr)
 @pytest.mark.parametrize(
     "record", [EpisodeConfig, PhaseDurations, DisturbanceConfig, TrainConfig], ids=lambda r: r.__name__
 )
 def test_config_records_refuse_a_non_finite_float(record, bad):
-    # Every float field, found by walking the record, so that a field added
-    # later, or a check written as `x < 0` that NaN slips past, shows here.
-    edits = [{f.name: bad} for f in dataclasses.fields(record) if f.type in ("float", float)]
+    # Every number field, found by walking the record, so that a field added
+    # later, a check written as `x < 0` that NaN slips past, or one that takes
+    # a bool or a numeric string for a number, shows here.
+    edits = [{f.name: bad} for f in dataclasses.fields(record) if f.type in ("float", "int")]
     if record is EpisodeConfig:
         edits += [{"locked_force": tuple(bad if j == i else 1.0 for j in range(3))} for i in range(3)]
     assert edits
@@ -200,7 +201,7 @@ def test_episode_log_rejects_a_non_finite_timestamp(tmp_path, bad_t):
         load_episode_log(path)
 
 
-@pytest.mark.parametrize("label", [0.7, 1.9, -1, "1", None])
+@pytest.mark.parametrize("label", [0.7, 1.9, -1, "1", None, True])
 def test_episode_log_rejects_a_label_other_than_0_or_1(tmp_path, label):
     path = tmp_path / "labels.jsonl"
     header = {"format": "gripwatch-episode", "version": 1, "n_s": 1}
