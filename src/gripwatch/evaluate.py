@@ -1,6 +1,11 @@
 """Metrics, train/test splits, window sweep, feature ablation, and the
 detail-energy threshold baseline.
 
+Every study table pools and splits one window's rows in ``sample_split``.
+Held-out evaluation, the sweep rows and the ablation fit and score their
+models in ``fit_and_score``; the energy baseline fits its threshold on the
+same split.
+
 Positive class is "stable" (label 1), so a false positive is the
 safety-critical case: predicted stable while the grasp is actually unstable.
 Rates with zero denominators are reported as None, never as 0.
@@ -18,6 +23,7 @@ import numpy as np
 from .errors import EmptyDataset, InvalidConfig, InvariantViolation
 from .features import DwtConfig, batch_features, detail_energies
 from .models import (
+    DEFAULT_MASK,
     LinearModel,
     TrainConfig,
     check_binary_labels,
@@ -143,14 +149,6 @@ def evaluate_model(model: LinearModel, X: np.ndarray, y: np.ndarray) -> EvalRepo
     return compute_metrics(ConfusionMatrix.from_predictions(predict_label_batch(model, X), y))
 
 
-def train_and_evaluate(episodes, dwt_config: DwtConfig, train_config: TrainConfig, seed: int = 0):
-    """Sample-level split, train, test. Returns (model, train report, test report)."""
-    X, y, _ = dataset_feature_matrix(episodes, dwt_config)
-    tr, te = split_indices(len(y), TRAIN_FRACTION, seed)
-    model = train((X[tr], y[tr]), train_config, dwt_config=dwt_config)
-    return model, evaluate_model(model, X[tr], y[tr]), evaluate_model(model, X[te], y[te])
-
-
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -200,6 +198,37 @@ def _map_fits(fit, items) -> list:
     return results
 
 
+def sample_split(episodes, dwt_config: DwtConfig, seed: int):
+    """The pooled (X, y, energy) rows of one window, split by TRAIN_FRACTION
+    and the seed. Returns (train rows, test rows), each an (X, y, energy)
+    triple; every study table trains and tests on a split made here."""
+    X, y, energy = dataset_feature_matrix(episodes, dwt_config)
+    tr, te = split_indices(len(y), TRAIN_FRACTION, seed)
+    return (X[tr], y[tr], energy[tr]), (X[te], y[te], energy[te])
+
+
+def fit_and_score(split, fits, dwt_config: DwtConfig) -> list:
+    """Fit each (TrainConfig, mask) of ``fits`` on the split's train rows and
+    score it on its test rows. Returns [(model, test report)] in ``fits``
+    order; the fits run on every CPU the process may use."""
+    (X_train, y_train, _), (X_test, y_test, _) = split
+
+    def fit(item):
+        train_config, mask = item
+        model = train((X_train, y_train), train_config, mask, dwt_config)
+        return model, evaluate_model(model, X_test, y_test)
+
+    return _map_fits(fit, fits)
+
+
+def train_and_evaluate(episodes, dwt_config: DwtConfig, train_config: TrainConfig, seed: int = 0):
+    """Sample-level split, train, test. Returns (model, train report, test report)."""
+    split = sample_split(episodes, dwt_config, seed)
+    [(model, test_report)] = fit_and_score(split, [(train_config, DEFAULT_MASK)], dwt_config)
+    X_train, y_train, _ = split[0]
+    return model, evaluate_model(model, X_train, y_train), test_report
+
+
 def window_sweep(episodes, n_w_values, train_config: TrainConfig, seed: int = 0):
     """Re-extract, re-split, and retrain once per window size."""
     configs = [DwtConfig(n_w=n_w) for n_w in n_w_values]
@@ -229,11 +258,14 @@ DEFAULT_ABLATION_GROUPS = [
 
 
 def group_mask(groups) -> tuple:
-    """Expand feature-group names (ftip covers fx, fy, fz) to a 6-slot mask."""
+    """Expand feature-group names (ftip covers fx, fy, fz) to a 6-slot mask;
+    an unknown name, or no name at all, is an InvalidConfig."""
     groups = set(groups)
     unknown = groups - {"fa", "ftip", "m", "sigma"}
     if unknown:
         raise InvalidConfig(f"unknown feature groups {sorted(unknown)}")
+    if not groups:
+        raise InvalidConfig("mask keeps no features")
     ftip = "ftip" in groups
     return ("fa" in groups, ftip, ftip, ftip, "m" in groups, "sigma" in groups)
 
@@ -242,18 +274,10 @@ def ablation_study(episodes, masks=None, train_config: TrainConfig = None, seed:
     """Train one model per mask on identical splits; rows of (mask, report)."""
     train_config = train_config or TrainConfig()
     group_rows = list(masks if masks is not None else DEFAULT_ABLATION_GROUPS)
-    feature_masks = [group_mask(groups) for groups in group_rows]
-    if not all(any(mask) for mask in feature_masks):
-        raise InvalidConfig("ablation mask keeps no features")
-    X, y, _ = dataset_feature_matrix(episodes, DwtConfig())
-    tr, te = split_indices(len(y), TRAIN_FRACTION, seed)
-    train_set, X_test, y_test = (X[tr], y[tr]), X[te], y[te]
-
-    def fit(mask):
-        return evaluate_model(train(train_set, train_config, mask), X_test, y_test)
-
-    reports = _map_fits(fit, feature_masks)
-    return [(tuple(groups), report) for groups, report in zip(group_rows, reports)]
+    fits = [(train_config, group_mask(groups)) for groups in group_rows]
+    dwt_config = DwtConfig()
+    scored = fit_and_score(sample_split(episodes, dwt_config, seed), fits, dwt_config)
+    return [(tuple(groups), report) for groups, (_, report) in zip(group_rows, scored)]
 
 
 @dataclass(frozen=True)
@@ -272,9 +296,7 @@ def energy_threshold_baseline(episodes, seed: int = 0) -> BaselineReport:
     among the midpoints between consecutive distinct training energies and
     one point beyond each end; ties go to the lowest candidate.
     """
-    _, y, energy = dataset_feature_matrix(episodes, DwtConfig())
-    tr, te = split_indices(len(y), TRAIN_FRACTION, seed)
-    e_train, y_train = energy[tr], y[tr]
+    (_, y_train, e_train), (_, y_test, e_test) = sample_split(episodes, DwtConfig(), seed)
 
     uniq = np.unique(e_train)
     candidates = np.concatenate(
@@ -297,12 +319,12 @@ def energy_threshold_baseline(episodes, seed: int = 0) -> BaselineReport:
     degenerate = (
         best_threshold < float(uniq[0])
         or best_threshold > float(uniq[-1])
-        or len(np.unique(y[te])) < 2
+        or len(np.unique(y_test)) < 2
     )
     return BaselineReport(
         threshold=best_threshold,
         train_report=report(e_train, y_train),
-        test_report=report(energy[te], y[te]),
+        test_report=report(e_test, y_test),
         degenerate=degenerate,
     )
 
@@ -323,24 +345,26 @@ def format_report(report: EvalReport) -> str:
     )
 
 
+# The rate columns that end every row of the sweep and ablation tables.
+_RATE_HEADER = f"{'FPR':>6} {'FNR':>6} {'FDR':>6} {'Acc':>6}"
+
+
+def _rate_columns(report: EvalReport) -> str:
+    rates = (report.fpr, report.fnr, report.fdr, report.acc)
+    return " ".join(f"{_fmt(rate):>6}" for rate in rates)
+
+
 def format_sweep_table(rows) -> str:
-    lines = [f"{'n_w':>4} {'FPR':>6} {'FNR':>6} {'FDR':>6} {'Acc':>6}"]
+    lines = [f"{'n_w':>4} {_RATE_HEADER}"]
     for n_w, report in rows:
-        lines.append(
-            f"{n_w:>4} {_fmt(report.fpr):>6} {_fmt(report.fnr):>6} "
-            f"{_fmt(report.fdr):>6} {_fmt(report.acc):>6}"
-        )
+        lines.append(f"{n_w:>4} {_rate_columns(report)}")
     return "\n".join(lines)
 
 
 def format_ablation_table(rows) -> str:
-    header = f"{'fa':>3} {'ftip':>4} {'m':>3} {'sigma':>5}  {'FPR':>6} {'FNR':>6} {'FDR':>6} {'Acc':>6}"
-    lines = [header]
+    lines = [f"{'fa':>3} {'ftip':>4} {'m':>3} {'sigma':>5}  {_RATE_HEADER}"]
     for groups, report in rows:
         marks = ["x" if g in groups else "-" for g in ("fa", "ftip", "m", "sigma")]
-        lines.append(
-            f"{marks[0]:>3} {marks[1]:>4} {marks[2]:>3} {marks[3]:>5}  "
-            f"{_fmt(report.fpr):>6} {_fmt(report.fnr):>6} "
-            f"{_fmt(report.fdr):>6} {_fmt(report.acc):>6}"
-        )
+        marked = f"{marks[0]:>3} {marks[1]:>4} {marks[2]:>3} {marks[3]:>5}"
+        lines.append(f"{marked}  {_rate_columns(report)}")
     return "\n".join(lines)

@@ -94,12 +94,19 @@ class EpisodeConfig:
         _check_integer("seed", self.seed, 0)
         if not (is_number(self.sample_rate_hz) and 0 < self.sample_rate_hz < math.inf):
             raise InvalidConfig(f"sample_rate_hz must be in (0, inf), got {self.sample_rate_hz!r}")
-        if not all(is_number(f) and math.isfinite(f) for f in self.locked_force):
-            raise InvalidConfig(f"locked_force must be finite, got {self.locked_force}")
+        force = self.locked_force
+        if not (
+            isinstance(force, tuple)
+            and len(force) == 3
+            and all(is_number(f) and math.isfinite(f) for f in force)
+        ):
+            raise InvalidConfig(f"locked_force must be three finite numbers, got {force!r}")
         _check_non_negative("noise_std", self.noise_std)
         _check_integer("object_id", self.object_id, 0)
         _check_integer("n_s", self.n_s, 1)
         _check_integer("contact_taxels", self.contact_taxels, 1, self.n_s)
+        if not isinstance(self.fingertip_id, str):
+            raise InvalidConfig(f"fingertip_id must be a string, got {self.fingertip_id!r}")
 
 
 @dataclass(frozen=True)

@@ -877,6 +877,8 @@ def test_detect_rejects_a_bad_geometry_file_before_any_frame(workspace, tmp_path
         lambda c: c["locked_force"].__setitem__(0, 10**400),
         lambda c: c.update(seed=2.5),
         lambda c: c.update(object_id=float("nan")),
+        lambda c: c.update(locked_force=[1.0, 2.0]),
+        lambda c: c.update(fingertip_id=5),
     ],
     ids=[
         "NaN sample rate",
@@ -886,6 +888,8 @@ def test_detect_rejects_a_bad_geometry_file_before_any_frame(workspace, tmp_path
         "locked force past float",
         "seed 2.5",
         "NaN object_id",
+        "two locked force components",
+        "integer fingertip id",
     ],
 )
 def test_extract_rejects_a_bad_config_echo(workspace, tmp_path, capsys, edit):

@@ -151,6 +151,19 @@ def test_ablation_rejects_empty_mask(small_dataset):
         ablation_study(small_dataset, masks=[()], train_config=TrainConfig(max_iters=50))
 
 
+def test_the_three_tables_agree_on_the_fit_they_share(small_dataset):
+    # held-out logreg, the sweep's n_w = 14 row and the ablation's
+    # (fa, ftip, sigma) row all fit the default mask at the default window
+    assert DwtConfig().n_w == 14 and group_mask(("fa", "ftip", "sigma")) == DEFAULT_MASK
+    config = TrainConfig(max_iters=100)
+    _, _, heldout = evaluate.train_and_evaluate(small_dataset, DwtConfig(), config)
+    [(_, swept)] = window_sweep(small_dataset, [14], config)
+    [(_, ablated)] = ablation_study(
+        small_dataset, masks=[("fa", "ftip", "sigma")], train_config=config
+    )
+    assert heldout.confusion == swept.confusion == ablated.confusion
+
+
 @pytest.fixture
 def recorded_fits(monkeypatch):
     """Wrap evaluate.train; each fit appends (training rows, mask, weights and
@@ -263,6 +276,8 @@ def test_group_mask_expansion():
     assert group_mask(("ftip",)) == (False, True, True, True, False, False)
     with pytest.raises(InvalidConfig):
         group_mask(("what",))
+    with pytest.raises(InvalidConfig, match="keeps no features"):
+        group_mask(())
 
 
 def test_baseline_threshold_is_train_optimal(small_dataset):
@@ -369,8 +384,9 @@ def test_baseline_matches_exhaustive_scan(monkeypatch):
         (np.array([1, 0] * 25), np.array([1.0, np.nextafter(1.0, 2.0)] * 25)),
     ]
     for i, (y, energy) in enumerate(cases):
+        X = np.zeros((len(y), 6))  # sample_split indexes X with y and energy
         monkeypatch.setattr(
-            evaluate, "dataset_feature_matrix", lambda *_args, **_kw: (None, y, energy)
+            evaluate, "dataset_feature_matrix", lambda *_args, **_kw: (X, y, energy)
         )
         expected = exhaustive_baseline(y, energy, 0.8, i)
         assert energy_threshold_baseline([], seed=i) == expected
