@@ -36,7 +36,7 @@ from . import evaluate as ev
 from .detect import MultiFingerDetector
 from .errors import GripwatchError, InvalidConfig, ParseError
 from .features import FEATURE_NAMES, DwtConfig
-from .files import is_integer, is_number, read_jsonl, write_json, write_jsonl
+from .files import MALFORMED, is_integer, is_number, malformed, read_jsonl, write_json, write_jsonl
 from .models import (
     DEFAULT_MASK,
     TrainConfig,
@@ -78,13 +78,11 @@ def _read_features(path):
     """A labeled feature file as (X (n, 6), y (n), its DwtConfig)."""
     records = read_jsonl(path, FEATURES_FORMAT, FEATURES_VERSION)
     lineno, header = next(records)
-    try:
+    with malformed("bad feature header", lineno):
         dwt_config = DwtConfig(n_w=header.get("n_w"))
-    except InvalidConfig as exc:
-        raise ParseError(f"bad feature header: {exc}", line=lineno) from exc
     rows = []
     for lineno, record in records:
-        try:
+        with malformed("bad feature record", lineno):
             *row, label = (record[key] for key in FEATURE_KEYS)
             if label is None:
                 raise ValueError("unlabeled features")
@@ -93,19 +91,20 @@ def _read_features(path):
             if not all(map(is_number, row)):
                 raise ValueError(f"{', '.join(FEATURE_KEYS[:-1])} must be numbers, got {row}")
             rows.append([*map(float, row), label])  # OverflowError past the float range
-        except (KeyError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad feature record: {exc}", line=lineno) from exc
     if not rows:
         raise ParseError("no feature rows")
     table = np.array(rows)
     return table[:, 1:-1], table[:, -1], dwt_config
 
 
-def _load_dataset(directory):
-    paths = sorted(Path(directory).glob("episode*.jsonl"))
+def _load_dataset(directory, paths=None):
+    """The episode logs ``paths``, by default the directory's episode*.jsonl
+    files, with their taxels in the geometry of the directory's geometry.json."""
+    paths = sorted(Path(directory).glob("episode*.jsonl")) if paths is None else paths
     if not paths:
         raise ParseError(f"no episode*.jsonl files in {directory}")
-    return [load_episode_log(p) for p in paths]
+    geometry = load_geometry(Path(directory) / "geometry.json")
+    return [load_episode_log(p, geometry) for p in paths]
 
 
 # --- subcommand implementations ---
@@ -130,7 +129,7 @@ def _cmd_simulate(args):
 def _cmd_extract(args):
     src = Path(getattr(args, "in"))
     config = DwtConfig(n_w=args.n_w)
-    episodes = _load_dataset(src) if src.is_dir() else [load_episode_log(src)]
+    episodes = _load_dataset(src) if src.is_dir() else _load_dataset(src.parent, [src])
     rows = []
     for episode in episodes:
         X, y, _ = ev.episode_feature_matrix(episode, config)
@@ -256,8 +255,7 @@ def _detect_line(detector, lineno, line):
             return 0
         frame = TaxelFrame(record["t"], record["fingertip"], np.array(record["taxels"]))
         detections = detector.process(frame)
-    # ValueError: invalid JSON or UTF-8, or ragged taxels; OverflowError: a number past float.
-    except (GripwatchError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except MALFORMED as exc:  # invalid JSON or UTF-8 is a ValueError of json.loads
         print(f"error: frame {lineno}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 0
     _write_detections(detections)
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract labeled feature vectors")
     p.add_argument("--in", required=True)
-    p.add_argument("--n-w", dest="n_w", type=int, default=14)
+    p.add_argument("--n-w", dest="n_w", type=int, default=DwtConfig().n_w)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 
@@ -301,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--kind", choices=["logreg", "svm"], default="logreg")
     p.add_argument("--mask", default=None, help="comma list from fa,fx,fy,fz,m,sigma")
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--l2", type=float, default=TrainConfig().l2_lambda)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 

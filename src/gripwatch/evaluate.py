@@ -122,8 +122,8 @@ def episode_feature_matrix(episode, config: DwtConfig):
 
     Returns (X (N, 6), y (N), fx_windows_energy_input) where N is the number
     of emitted windows. F_x values are returned for the full series so the
-    energy baseline can window them identically. The forces come from the
-    episode's cached identity-geometry aggregation.
+    energy baseline can window them identically. The forces are the
+    episode's, aggregated once through its geometry.
     """
     f_tip, f_a = episode.forces
     X, y, _ = batch_features(episode.t, f_tip, f_a, config, labels=episode.labels)
@@ -234,7 +234,8 @@ def window_sweep(episodes, n_w_values, train_config: TrainConfig, seed: int = 0)
     configs = [DwtConfig(n_w=n_w) for n_w in n_w_values]
 
     def row(config):
-        _, _, report = train_and_evaluate(episodes, config, train_config, seed=seed)
+        split = sample_split(episodes, config, seed)
+        [(_, report)] = fit_and_score(split, [(train_config, DEFAULT_MASK)], config)
         return config.n_w, report
 
     return _map_fits(row, configs)

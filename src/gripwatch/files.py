@@ -6,7 +6,12 @@ names the file's ``format`` and ``version``, then one object per record.
 
 Every reader reports malformed content, including invalid UTF-8, as
 ParseError and a header of another version as VersionMismatch. An OSError
-passes through as itself.
+passes through as itself. One rule decides what a record that is not what
+its reader expects raises: the reader builds it inside ``malformed(what,
+line)``, which turns any exception of MALFORMED (KeyError, TypeError,
+ValueError, OverflowError, GripwatchError) into one ParseError that starts
+with ``what``; a missing key reads ``no 'x' field``. ``detect`` catches the
+same MALFORMED per line and reports each line by its own class.
 
 What a number is, for every record that holds one, is decided here too. A
 reader hands the raw JSON values to a record, which checks them by these rules.
@@ -15,10 +20,15 @@ reader hands the raw JSON values to a record, which checks them by these rules.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ParseError, VersionMismatch
+from .errors import GripwatchError, ParseError, VersionMismatch
+
+# What building a record from JSON values its reader does not expect raises: a
+# missing key, a wrong type or value, a number past float, or the record's check.
+MALFORMED = (KeyError, TypeError, ValueError, OverflowError, GripwatchError)
 
 
 def is_number(value) -> bool:
@@ -49,6 +59,19 @@ def _object(data: bytes, what: str, line=None) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"{what} is not a JSON object", line=line)
     return value
+
+
+@contextmanager
+def malformed(what: str, line=None):
+    """Re-raise a MALFORMED exception of the block as one ParseError that
+    starts with ``what`` (if any); a ParseError passes through unchanged."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except MALFORMED as exc:
+        reason = f"no {exc} field" if isinstance(exc, KeyError) else str(exc)
+        raise ParseError(f"{what}: {reason}" if what else reason, line=line) from exc
 
 
 def write_json(path, payload: dict) -> None:

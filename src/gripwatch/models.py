@@ -25,15 +25,15 @@ import numpy as np
 
 from .errors import (
     EmptyDataset,
-    InvalidConfig,
     InvariantViolation,
     LengthMismatch,
     NonFiniteFeature,
-    ParseError,
     SingleClassDataset,
 )
 from .features import FEATURE_NAMES, DwtConfig
-from .files import check_header, is_integer, is_number, is_number_array, read_json, write_json
+from .files import (
+    check_header, is_integer, is_number, is_number_array, malformed, read_json, write_json
+)
 
 MODEL_FORMAT = "gripwatch-model"
 MODEL_VERSION = 3
@@ -320,13 +320,9 @@ def load_model(path) -> LinearModel:
     """The model a file holds; any malformed content is one ParseError."""
     payload = read_json(path, "model")
     check_header(payload, MODEL_FORMAT, MODEL_VERSION)
-    try:
+    with malformed("malformed model file"):
         return LinearModel(
             *(payload[key] for key in ("weights", "bias", "means", "stds", "mask")),
             TrainConfig(**payload["train_config"]),
             DwtConfig(n_w=payload["n_w"]),
         )
-    except (
-        KeyError, TypeError, ValueError, OverflowError, InvalidConfig, InvariantViolation
-    ) as exc:
-        raise ParseError(f"malformed model file: {exc}") from exc

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import GripwatchError, InvalidConfig, InvariantViolation, ParseError
-from .files import is_integer, is_number, read_jsonl, write_jsonl
+from .errors import InvalidConfig, InvariantViolation, LengthMismatch, ParseError
+from .files import is_integer, is_number, malformed, read_jsonl, write_jsonl
 from .models import check_binary_labels
 from .tactile import DEFAULT_N_S, FingertipGeometry, TaxelFrame, aggregate_taxels
 
@@ -114,13 +114,15 @@ class LabeledEpisode:
     """One fingertip's labeled series, held as read-only arrays.
 
     ``t`` (N,) timestamps, ``taxels`` (N, n_s, 3) raw taxel forces and
-    ``labels`` (N,) 0/1 stability labels, one row per sample.
+    ``labels`` (N,) 0/1 stability labels, one row per sample. Each taxel's
+    force is in its own frame, which ``geometry`` rotates into the fingertip's.
     """
 
     t: np.ndarray
     taxels: np.ndarray
     labels: np.ndarray
     fingertip_id: str
+    geometry: FingertipGeometry
     metadata: EpisodeConfig | None = None
 
     def __post_init__(self):
@@ -136,6 +138,10 @@ class LabeledEpisode:
                 f"{len(self.taxels)} taxel rows, {self.t.shape} timestamps, "
                 f"{self.labels.shape} labels"
             )
+        if self.taxels.shape[1] != self.geometry.n_s:
+            raise LengthMismatch(
+                f"samples have {self.taxels.shape[1]} taxels, geometry has {self.geometry.n_s}"
+            )
 
     @property
     def frames(self) -> list:
@@ -147,11 +153,9 @@ class LabeledEpisode:
 
     @functools.cached_property
     def forces(self) -> tuple:
-        """Read-only (f_tip (N, 3), f_a (N)) through the identity geometry,
+        """Read-only (f_tip (N, 3), f_a (N)) through the episode's geometry,
         aggregated on first use."""
-        f_tip, f_a = aggregate_taxels(
-            self.taxels, FingertipGeometry.identity(self.taxels.shape[1])
-        )
+        f_tip, f_a = aggregate_taxels(self.taxels, self.geometry)
         f_tip.setflags(write=False)
         f_a.setflags(write=False)
         return f_tip, f_a
@@ -230,7 +234,8 @@ def generate_episode(config: EpisodeConfig) -> LabeledEpisode:
         taxels += rng.normal(0.0, config.noise_std, size=taxels.shape)
 
     t = np.arange(n) / rate
-    return LabeledEpisode(t, taxels, labels, config.fingertip_id, metadata=config)
+    geometry = FingertipGeometry.identity(config.n_s)  # the taxels are in the fingertip frame
+    return LabeledEpisode(t, taxels, labels, config.fingertip_id, geometry, metadata=config)
 
 
 def _direction(mode: str, rng) -> np.ndarray:
@@ -303,29 +308,22 @@ def save_episode_log(episode: LabeledEpisode, path) -> None:
     write_jsonl(path, header, frames)
 
 
-def load_episode_log(path) -> LabeledEpisode:
-    """Parse an episode log, reporting the offending line on failure. Each
-    line is checked as a TaxelFrame; what spans lines is checked here."""
+def load_episode_log(path, geometry: FingertipGeometry) -> LabeledEpisode:
+    """Parse an episode log whose taxels are in the frames of ``geometry``,
+    reporting the offending line on failure. Each line is checked as a
+    TaxelFrame; what spans lines is checked here."""
     ts, taxel_rows, labels = [], [], []
     fingertip_id = None
-    metadata = None
     records = read_jsonl(path, EPISODE_FORMAT, EPISODE_VERSION)
     lineno, header = next(records)
     n_s = header.get("n_s")
-    if "config" in header:
-        try:
-            metadata = _config_from_dict(header["config"])
-        except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig) as exc:
-            raise ParseError(f"bad config echo: {exc}", line=lineno) from exc
+    with malformed("bad config echo", lineno):
+        metadata = _config_from_dict(header["config"]) if "config" in header else None
     for lineno, record in records:
-        try:
+        with malformed("", lineno):  # ragged taxels are a ValueError of np.array
             frame = TaxelFrame(
                 record["t"], record["fingertip"], np.array(record["taxels"]), record["label"]
             )
-        except KeyError as exc:
-            raise ParseError(f"no {exc} field", line=lineno) from exc
-        except (ValueError, OverflowError, GripwatchError) as exc:  # ragged taxels, a huge integer
-            raise ParseError(str(exc), line=lineno) from exc
         if frame.label is None:
             raise ParseError("label must be 0 or 1, got None", line=lineno)
         if n_s is None:
@@ -346,5 +344,5 @@ def load_episode_log(path) -> LabeledEpisode:
     if not ts:
         raise ParseError("no frames")
     return LabeledEpisode(
-        np.array(ts), np.stack(taxel_rows), np.array(labels), fingertip_id, metadata=metadata
+        np.array(ts), np.stack(taxel_rows), np.array(labels), fingertip_id, geometry, metadata
     )

@@ -8,8 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, LengthMismatch, NonFiniteInput, ParseError
-from .files import is_integer, is_number, is_number_array, read_json, write_json
+from .errors import InvariantViolation, LengthMismatch, NonFiniteInput
+from .files import is_integer, is_number, is_number_array, malformed, read_json, write_json
 
 DEFAULT_N_S = 30
 
@@ -162,10 +162,8 @@ def save_geometry(geometry: FingertipGeometry, path) -> None:
 def load_geometry(path) -> FingertipGeometry:
     """The geometry a file holds; any malformed content is one ParseError."""
     payload = read_json(path, "geometry")
-    try:
+    with malformed("malformed geometry file"):
         n_s, flat = payload["n_s"], payload["rotations"]
         if not is_integer(n_s) or n_s != len(flat):
             raise ValueError(f"n_s must be {len(flat)}, the number of rotations, got {n_s!r}")
         return FingertipGeometry(np.array(flat).reshape(n_s, 3, 3))
-    except (KeyError, TypeError, ValueError, OverflowError, InvariantViolation) as exc:
-        raise ParseError(f"malformed geometry file: {exc}") from exc

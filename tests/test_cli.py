@@ -4,6 +4,7 @@ import json
 import os
 import re
 import select
+import shutil
 import subprocess
 import sys
 import types
@@ -17,7 +18,7 @@ from gripwatch.evaluate import DEFAULT_ABLATION_GROUPS
 from gripwatch.features import DwtConfig, batch_features
 from gripwatch.models import load_model, predict_score_batch
 from gripwatch.simulate import load_episode_log
-from gripwatch.tactile import aggregate_series, load_geometry
+from gripwatch.tactile import FingertipGeometry, aggregate_series, load_geometry, save_geometry
 
 SMALL = ["--objects", "2", "--episodes", "2", "--seed", "7"]
 
@@ -44,6 +45,12 @@ def _detect_argv(workspace, *extra):
         str(workspace / "data" / "geometry.json"),
         *extra,
     ]
+
+
+def _copy_geometry(workspace, directory):
+    """Put the workspace's geometry.json in ``directory``: extract reads the
+    geometry beside the episode logs."""
+    shutil.copy(workspace / "data" / "geometry.json", directory)
 
 
 def _episode_lines(workspace):
@@ -641,6 +648,7 @@ def test_json_that_is_not_an_object_is_a_parse_error(
 ):
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(content)
+    _copy_geometry(workspace, tmp_path)
     model, geometry = str(workspace / "model.json"), str(workspace / "data" / "geometry.json")
     episode = str(sorted((workspace / "data").glob("episode*.jsonl"))[0])
     argvs = {
@@ -678,6 +686,7 @@ def test_a_huge_number_in_a_file_is_a_parse_error(
     lines[lineno] = _with_huge(json.loads(lines[lineno]), path, digits)
     bad_dir = tmp_path / "data"
     bad_dir.mkdir()
+    _copy_geometry(workspace, bad_dir)
     bad = bad_dir / source.name
     bad.write_text("\n".join(lines) + "\n")
     model = str(workspace / "model.json")
@@ -691,6 +700,73 @@ def test_a_huge_number_in_a_file_is_a_parse_error(
     captured = capsys.readouterr()
     assert captured.out == "" or command == "extract --in"
     assert captured.err.startswith("error: ParseError: ") and captured.err.count("\n") == 1, captured.err
+
+
+def _rotations(n, seed):
+    """n rotations in SO(3), drawn by seed, by Rodrigues' formula."""
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal((n, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    angle = rng.uniform(0.0, np.pi, n)[:, None, None]
+    k = np.zeros((n, 3, 3))
+    k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -axis[:, 2], axis[:, 1], -axis[:, 0]
+    k -= k.transpose(0, 2, 1)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * k @ k
+
+
+def test_pipeline_in_rotated_taxel_frames(workspace, tmp_path, capsys):
+    """The workspace's taxels, each written in its own seeded frame and saved
+    with that geometry: extract and train aggregate through it, so eval
+    scores what it scores in the fingertip frame, to rounding, and detect
+    --geometry equals the batch path."""
+    rotations = _rotations(30, seed=10)
+    data = tmp_path / "rotated"
+    data.mkdir()
+    save_geometry(FingertipGeometry(rotations), data / "geometry.json")
+    for episode in sorted((workspace / "data").glob("episode*.jsonl")):
+        header, *lines = episode.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        for record in records:  # the taxel frame's force is R^T times the fingertip frame's
+            record["taxels"] = np.einsum("sji,sj->si", rotations, record["taxels"]).tolist()
+        (data / episode.name).write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+    features, model = tmp_path / "f.jsonl", tmp_path / "m.json"
+    assert main(["extract", "--in", str(data), "--out", str(features)]) == 0
+    assert main(["train", "--features", str(features), "--out", str(model)]) == 0
+    acc = []
+    for trained, scored in ((model, features), (workspace / "model.json", workspace / "features.jsonl")):
+        report = tmp_path / "report.json"
+        argv = ["eval", "--model", str(trained), "--features", str(scored), "--report", str(report)]
+        assert main(argv) == 0
+        acc.append(json.loads(report.read_text())["acc"])
+    assert acc[0] == pytest.approx(acc[1], abs=1e-9), acc  # rotated, then the fingertip frame
+
+    episode = sorted(data.glob("episode*.jsonl"))[0]
+    capsys.readouterr()
+    detect = ["detect", "--model", str(model), "--geometry", str(data / "geometry.json")]
+    assert main([*detect, "--tau", "0.5", "--in", str(episode)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = [json.loads(line) for line in captured.out.splitlines()]
+    geometry = load_geometry(data / "geometry.json")
+    t, f_tip, f_a = aggregate_series(load_episode_log(episode, geometry).frames, geometry)
+    X, _, t_out = batch_features(t, f_tip, f_a, DwtConfig())
+    scores = predict_score_batch(load_model(model), X)
+    states = np.where(X[:, 0] < 0.5, "no_contact", np.where(scores > 0, "stable", "unstable"))
+    assert [d["t"] for d in out] == t_out.tolist()
+    assert [d["sigma"] for d in out] == X[:, 5].tolist()
+    assert [d["state"] for d in out] == states.tolist()
+    assert {"stable", "unstable", "no_contact"} <= set(states.tolist())
+
+
+def test_extract_needs_the_geometry_beside_the_episodes(workspace, tmp_path, capsys):
+    episode = sorted((workspace / "data").glob("episode*.jsonl"))[0]
+    shutil.copy(episode, tmp_path)
+    out = tmp_path / "f.jsonl"
+    for source in (tmp_path, tmp_path / episode.name):
+        assert main(["extract", "--in", str(source), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and "geometry.json" in err, err
+    assert not out.exists()
 
 
 def test_pipeline_at_n_w_8_takes_the_window_from_the_model(workspace, tmp_path, capsys):
@@ -708,8 +784,9 @@ def test_pipeline_at_n_w_8_takes_the_window_from_the_model(workspace, tmp_path, 
 
     trained = load_model(model)
     assert trained.dwt_config == DwtConfig(n_w=8)
-    frames = load_episode_log(episode).frames
-    t, f_tip, f_a = aggregate_series(frames, load_geometry(data / "geometry.json"))
+    geometry = load_geometry(data / "geometry.json")
+    frames = load_episode_log(episode, geometry).frames
+    t, f_tip, f_a = aggregate_series(frames, geometry)
     X, _, t_out = batch_features(t, f_tip, f_a, DwtConfig(n_w=8))
     scores = predict_score_batch(trained, X)
     assert len(out) == len(frames) - 7
@@ -899,6 +976,7 @@ def test_extract_rejects_a_bad_config_echo(workspace, tmp_path, capsys, edit):
     edit(header["config"])
     data = tmp_path / "data"
     data.mkdir()
+    _copy_geometry(workspace, data)
     (data / episode.name).write_text("\n".join([json.dumps(header), *frames]) + "\n")
     out = tmp_path / "f.jsonl"
     assert main(["extract", "--in", str(data), "--out", str(out)]) == 2
@@ -956,6 +1034,7 @@ def test_a_bool_or_a_string_for_a_number_is_one_error_line(workspace, tmp_path, 
     path = {"model": model, "geometry": geometry, "feature file": workspace / "features.jsonl"}
     lines = Path(path.get(source, episode)).read_text().splitlines()
     bad = tmp_path / "bad.jsonl"
+    _copy_geometry(workspace, tmp_path)
     argv = {
         "detect stream": _detect_argv(workspace, "--tau", "0.5", "--in", str(bad)),
         "episode log": ["extract", "--in", str(bad), "--out", str(tmp_path / "f.jsonl")],

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gripwatch.errors import InvalidConfig, InvariantViolation, NonFiniteInput, ParseError
+from gripwatch.errors import (
+    InvalidConfig,
+    InvariantViolation,
+    LengthMismatch,
+    NonFiniteInput,
+    ParseError,
+)
 from gripwatch.evaluate import dataset_feature_matrix, episode_feature_matrix
 from gripwatch.features import DwtConfig
 from gripwatch.models import TrainConfig
@@ -20,6 +26,8 @@ from gripwatch.simulate import (
     save_episode_log,
 )
 from gripwatch.tactile import FingertipGeometry, TaxelFrame, aggregate_series
+
+ONE_TAXEL, TWO_TAXELS = FingertipGeometry.identity(1), FingertipGeometry.identity(2)
 
 QUIET = EpisodeConfig(
     seed=5,
@@ -167,7 +175,7 @@ def test_episode_log_round_trip(tmp_path):
     ep = generate_episode(EpisodeConfig(seed=8, n_s=4, contact_taxels=2))
     path = tmp_path / "ep.jsonl"
     save_episode_log(ep, path)
-    loaded = load_episode_log(path)
+    loaded = load_episode_log(path, ep.geometry)
     assert np.array_equal(loaded.labels, ep.labels)
     assert loaded.metadata == ep.metadata
     for a, b in zip(loaded.frames, ep.frames):
@@ -184,7 +192,7 @@ def test_episode_log_reports_line_of_bad_frame(tmp_path):
     frame = {"t": 0.0, "fingertip": "f", "taxels": [[1, 0, 0]], "label": 0}
     path.write_text(json.dumps(header) + "\n" + json.dumps(frame) + "\n")
     with pytest.raises(ParseError, match="line 2"):
-        load_episode_log(path)
+        load_episode_log(path, ONE_TAXEL)
 
 
 @pytest.mark.parametrize("bad_t", [float("nan"), float("inf")])
@@ -198,7 +206,7 @@ def test_episode_log_rejects_a_non_finite_timestamp(tmp_path, bad_t):
     ]
     path.write_text("\n".join(json.dumps(r) for r in [header, *frames]) + "\n")
     with pytest.raises(ParseError, match="line 4: non-finite timestamp"):
-        load_episode_log(path)
+        load_episode_log(path, ONE_TAXEL)
 
 
 @pytest.mark.parametrize("label", [0.7, 1.9, -1, "1", None, True])
@@ -211,21 +219,21 @@ def test_episode_log_rejects_a_label_other_than_0_or_1(tmp_path, label):
     ]
     path.write_text("\n".join(json.dumps(r) for r in [header, *frames]) + "\n")
     with pytest.raises(ParseError, match="line 3: label must be 0 or 1"):
-        load_episode_log(path)
+        load_episode_log(path, ONE_TAXEL)
 
 
 def test_episode_log_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     with pytest.raises(ParseError, match="no gripwatch-episode header"):
-        load_episode_log(path)
+        load_episode_log(path, ONE_TAXEL)
 
 
 def test_episode_log_bad_header(tmp_path):
     path = tmp_path / "hdr.jsonl"
     path.write_text('{"format": "something-else", "version": 1}\n')
     with pytest.raises(ParseError, match="line 1"):
-        load_episode_log(path)
+        load_episode_log(path, ONE_TAXEL)
 
 
 SHORT = EpisodeConfig(
@@ -265,6 +273,22 @@ def test_cached_forces_bitwise_equal_to_aggregate_series():
     assert ep.forces[0] is f_tip  # aggregated once
 
 
+def test_forces_aggregate_through_the_episodes_geometry():
+    ep = generate_episode(SHORT)
+    assert ep.geometry.n_s == SHORT.n_s  # generated in the fingertip frame
+    angle = np.linspace(0.0, np.pi, SHORT.n_s)
+    rotations = np.zeros((SHORT.n_s, 3, 3))
+    rotations[:, 0, 0], rotations[:, 0, 1] = np.cos(angle), -np.sin(angle)
+    rotations[:, 1, 0], rotations[:, 1, 1], rotations[:, 2, 2] = np.sin(angle), np.cos(angle), 1.0
+    rotated = LabeledEpisode(ep.t, ep.taxels, ep.labels, ep.fingertip_id, FingertipGeometry(rotations))
+    _, ref_tip, ref_a = aggregate_series(rotated.frames, rotated.geometry)
+    assert rotated.forces[0].tobytes() == ref_tip.tobytes()
+    assert rotated.forces[1].tobytes() == ref_a.tobytes()
+    assert not np.allclose(rotated.forces[0], ep.forces[0])
+    with pytest.raises(LengthMismatch, match="samples have 30 taxels, geometry has 2"):
+        LabeledEpisode(ep.t, ep.taxels, ep.labels, ep.fingertip_id, TWO_TAXELS)
+
+
 def test_episode_arrays_are_read_only():
     ep = generate_episode(SHORT)
     for array in (ep.t, ep.taxels, ep.labels, *ep.forces):
@@ -274,7 +298,7 @@ def test_episode_arrays_are_read_only():
 
 def test_episode_rejects_misshapen_arrays():
     t, taxels, labels = np.zeros(3), np.zeros((3, 2, 3)), np.zeros(3, dtype=int)
-    LabeledEpisode(t, taxels, labels, "f")
+    LabeledEpisode(t, taxels, labels, "f", TWO_TAXELS)
     for bad in (
         (np.zeros(2), taxels, labels),
         (t, taxels, np.zeros(4, dtype=int)),
@@ -284,16 +308,16 @@ def test_episode_rejects_misshapen_arrays():
         (t, np.zeros((3, 2, 2)), labels),
     ):
         with pytest.raises(InvariantViolation):
-            LabeledEpisode(*bad, "f")
+            LabeledEpisode(*bad, "f", TWO_TAXELS)
     with pytest.raises(InvariantViolation, match="labels must be 0 or 1"):
-        LabeledEpisode(t, taxels, [0.5, 1.7, 1.0], "f")
+        LabeledEpisode(t, taxels, [0.5, 1.7, 1.0], "f", TWO_TAXELS)
 
 
 def test_nan_taxel_raises_through_the_force_cache():
     ep = generate_episode(SHORT)
     taxels = ep.taxels.copy()
     taxels[5, 0, 1] = np.nan
-    bad = LabeledEpisode(ep.t, taxels, ep.labels, ep.fingertip_id)
+    bad = LabeledEpisode(ep.t, taxels, ep.labels, ep.fingertip_id, ep.geometry)
     dataset_feature_matrix([ep], DwtConfig())
     for _ in range(2):  # a failed aggregation is not cached
         with pytest.raises(NonFiniteInput):
@@ -310,7 +334,7 @@ def test_episode_log_rejects_mixed_fingertips(tmp_path):
     lines = [header, _frame_line("a"), _frame_line("a", 0.1), _frame_line("b", 0.2)]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 4.*'b'"):
-        load_episode_log(path)
+        load_episode_log(path, ONE_TAXEL)
 
 
 def test_episode_log_without_n_s_rejects_changing_taxel_count(tmp_path):
@@ -319,7 +343,7 @@ def test_episode_log_without_n_s_rejects_changing_taxel_count(tmp_path):
     wide = json.dumps({"t": 0.1, "fingertip": "a", "taxels": [[1, 0, 0], [0, 1, 0]], "label": 0})
     path.write_text("\n".join([header, _frame_line("a"), wide]) + "\n")
     with pytest.raises(ParseError, match="line 3"):
-        load_episode_log(path)
+        load_episode_log(path, ONE_TAXEL)
 
 
 def test_episode_log_bytes_match_per_frame_writer(tmp_path):
