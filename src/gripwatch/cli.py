@@ -36,7 +36,9 @@ from . import evaluate as ev
 from .detect import MultiFingerDetector
 from .errors import GripwatchError, InvalidConfig, ParseError
 from .features import FEATURE_NAMES, DwtConfig
-from .files import MALFORMED, is_integer, is_number, malformed, read_jsonl, write_json, write_jsonl
+from .files import (
+    MALFORMED, is_integer, is_number, malformed, number_array, read_jsonl, write_json, write_jsonl
+)
 from .models import (
     DEFAULT_MASK,
     TrainConfig,
@@ -99,12 +101,19 @@ def _read_features(path):
 
 def _load_dataset(directory, paths=None):
     """The episode logs ``paths``, by default the directory's episode*.jsonl
-    files, with their taxels in the geometry of the directory's geometry.json."""
+    files, with their taxels in the geometry of the directory's geometry.json.
+    An error in a log names the log."""
     paths = sorted(Path(directory).glob("episode*.jsonl")) if paths is None else paths
     if not paths:
         raise ParseError(f"no episode*.jsonl files in {directory}")
     geometry = load_geometry(Path(directory) / "geometry.json")
-    return [load_episode_log(p, geometry) for p in paths]
+    episodes = []
+    for path in paths:
+        try:
+            episodes.append(load_episode_log(path, geometry))
+        except GripwatchError as exc:  # one line that names the log
+            raise type(exc)(f"{path}: {exc}") from exc
+    return episodes
 
 
 # --- subcommand implementations ---
@@ -253,7 +262,7 @@ def _detect_line(detector, lineno, line):
         record = json.loads(line)
         if isinstance(record, dict) and "format" in record:  # episode header line
             return 0
-        frame = TaxelFrame(record["t"], record["fingertip"], np.array(record["taxels"]))
+        frame = TaxelFrame(record["t"], record["fingertip"], number_array(record["taxels"]))
         detections = detector.process(frame)
     except MALFORMED as exc:  # invalid JSON or UTF-8 is a ValueError of json.loads
         print(f"error: frame {lineno}: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Online per-fingertip instability detector.
 
-Each fingertip owns an independent detector state: a feature extractor over
-the window the model was trained with, the model, and a contact threshold
-tau. Frames with force amplitude below tau are reported as no-contact
-without consulting the classifier.
+Each fingertip owns an independent detector state: the last n_w force
+amplitudes of its stream (the window the model was trained with), the model
+and a contact threshold tau. A frame is scored through the batch path's
+kernels: ``aggregate_tip_force``, ``window_stats``, ``predict_score_batch``.
+Frames with force amplitude below tau are reported as no-contact without
+consulting the classifier.
 When tau is not given it is estimated as three times the amplitude noise
 floor observed over the first frames of the stream (assumed contact-free).
 A stream that ends before the calibration prefix is complete calibrates tau
@@ -12,12 +14,13 @@ from the frames it has, in ``finish``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
-from .features import StreamingExtractor
+from .errors import InvalidConfig, NonFiniteInput, OutOfOrderTimestamp
+from .features import window_stats
 from .models import LinearModel, predict_score_batch, sigmoid
 from .tactile import FingertipGeometry, TaxelFrame, aggregate_tip_force
 
@@ -45,14 +48,17 @@ class Detection:
 
 
 class FingertipDetector:
-    """Sequential detector for a single fingertip stream. Not thread-safe."""
+    """Sequential detector for a single fingertip stream. Not thread-safe. A
+    rejected frame leaves the state as it was."""
 
     def __init__(self, model: LinearModel, geometry: FingertipGeometry, tau: float | None = None):
         _check_tau(tau)
         self.model = model
         self.geometry = geometry
         self.tau = tau
-        self._extractor = StreamingExtractor(model.dwt_config)
+        self._window = np.zeros(model.dwt_config.n_w)  # the last n_w f_a, oldest first
+        self._count = 0  # frames accepted; the first n_w - 1 are warm-up
+        self._last_t = -math.inf
         self._pending = []  # (timestamp, fingertip, row) held back while tau calibrates
         self._calibration = [] if tau is None else None
 
@@ -62,32 +68,32 @@ class FingertipDetector:
         Output lags input during warm-up and, with automatic tau, during the
         calibration prefix (those detections are emitted retroactively).
         """
-        sample = aggregate_tip_force(frame, self.geometry)
-        row = self._extractor.push(sample)
-
-        if self._calibration is not None:
-            self._calibration.append(sample.f_a)
-            if row is not None:
-                self._pending.append((frame.timestamp, frame.fingertip_id, row))
-            if len(self._calibration) < TAU_CALIBRATION_FRAMES:
-                return []
-            return self._calibrate()
-
-        if row is None:
-            return []
-        return [self._classify(frame.timestamp, frame.fingertip_id, row)]
+        f_tip, f_a = aggregate_tip_force(frame, self.geometry)
+        if frame.timestamp < self._last_t:
+            raise OutOfOrderTimestamp(f"timestamp {frame.timestamp} < previous {self._last_t}")
+        if not math.isfinite(f_a):  # before window_stats, where numpy would warn about it
+            raise NonFiniteInput("non-finite force amplitude")
+        window = np.append(self._window[1:], f_a)
+        m, sigma = window_stats(window)
+        if not math.isfinite(sigma):  # a finite f_a bounds f_tip and m; sigma can still overflow
+            raise NonFiniteInput("non-finite window statistics")
+        self._window, self._last_t, self._count = window, frame.timestamp, self._count + 1
+        row = np.array([f_a, *f_tip, m, sigma]) if self._count >= len(window) else None
+        if self._calibration is None:
+            return [] if row is None else [self._classify(frame.timestamp, frame.fingertip_id, row)]
+        self._calibration.append(f_a)
+        if row is not None:
+            self._pending.append((frame.timestamp, frame.fingertip_id, row))
+        return [] if len(self._calibration) < TAU_CALIBRATION_FRAMES else self.finish()
 
     def finish(self) -> list[Detection]:
-        """End of stream: if tau is still calibrating, calibrate it from the
-        frames seen so far and return the detections held back for it."""
-        if not self._calibration:
-            return []
-        return self._calibrate()
-
-    def _calibrate(self) -> list[Detection]:
-        noise_std = float(np.std(self._calibration))
-        self.tau = max(TAU_NOISE_MULTIPLIER * noise_std, TAU_FLOOR)
-        self._calibration = None
+        """End of stream: the detections held back, after tau is calibrated
+        from the frames seen if it is still calibrating. ``process`` ends here
+        too once the calibration prefix is complete."""
+        if self._calibration:
+            noise_std = float(np.std(self._calibration))
+            self.tau = max(TAU_NOISE_MULTIPLIER * noise_std, TAU_FLOOR)
+            self._calibration = None
         out = [self._classify(*pending) for pending in self._pending]
         self._pending = []
         return out

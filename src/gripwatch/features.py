@@ -7,21 +7,19 @@ into approximation and detail coefficients; the feature row is
 approximations and sigma the standard deviation of the details.
 
 ``window_stats`` is the one implementation of m and sigma: the batch path
-applies it to every window of a series at once, the streaming path to one
-window per pushed sample.
+applies it to every window of a series at once, and each fingertip's online
+detector to its latest window, frame by frame.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadWindowLength, InvalidConfig, NonFiniteInput, OutOfOrderTimestamp
+from .errors import BadWindowLength, InvalidConfig, NonFiniteInput
 from .files import is_integer
-from .tactile import ForceSample
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -43,7 +41,7 @@ class HaarDecomposition(NamedTuple):
 
 
 class FeatureVector(NamedTuple):
-    """One streamed window, as ``extract_stream`` yields it."""
+    """One window of a series, as ``extract_stream`` returns it."""
 
     timestamp: float
     f_a: float
@@ -71,7 +69,8 @@ def window_stats(windows: np.ndarray):
     n_w = windows.shape[-1]
     a, d = haar_pairs(windows)
     m = a.sum(axis=-1) / n_w
-    sigma = np.sqrt(((d - d.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1) / n_w)
+    d_mean = d.sum(axis=-1, keepdims=True) / d.shape[-1]  # d.mean's bits, less overhead
+    sigma = np.sqrt(((d - d_mean) ** 2).sum(axis=-1) / n_w)
     return m, sigma
 
 
@@ -83,56 +82,6 @@ def haar_decompose(window, config: DwtConfig) -> HaarDecomposition:
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("window contains NaN/Inf")
     return haar_pairs(x)
-
-
-class StreamingExtractor:
-    """Stateful per-fingertip extractor over the last n_w f_a values.
-
-    Not thread-safe; use one instance per stream. The first n_w - 1 samples
-    are warm-up and emit nothing. A rejected sample leaves the state as it
-    was.
-    """
-
-    def __init__(self, config: DwtConfig | None = None):
-        self.config = config or DwtConfig()
-        self._window = np.zeros(self.config.n_w)
-        self._count = 0
-        self._last_t = None
-
-    def push(self, sample: ForceSample) -> np.ndarray | None:
-        """The sample's feature row in FEATURE_NAMES layout, or None in warm-up."""
-        # A NaN timestamp compares false against everything, so it would
-        # pass the ordering check below and then disable it.
-        if not math.isfinite(sample.timestamp):
-            raise NonFiniteInput(f"non-finite timestamp {sample.timestamp}")
-        if self._last_t is not None and sample.timestamp < self._last_t:
-            raise OutOfOrderTimestamp(
-                f"timestamp {sample.timestamp} < previous {self._last_t}"
-            )
-        # Checked apart so that a non-finite amplitude never reaches the
-        # window statistics, where numpy would warn about it.
-        if not math.isfinite(sample.f_a):
-            raise NonFiniteInput("non-finite force amplitude")
-        window = np.append(self._window[1:], sample.f_a)
-        m, sigma = window_stats(window)
-        row = np.array([sample.f_a, *sample.f_tip, m, sigma])
-        if not np.isfinite(row).all():
-            raise NonFiniteInput("non-finite force or window statistics")
-        self._window, self._last_t = window, sample.timestamp
-        self._count += 1
-        return row if self._count >= self.config.n_w else None
-
-
-def extract_stream(samples, config: DwtConfig | None = None):
-    """Run a StreamingExtractor over an iterable of ForceSample.
-
-    Yields one FeatureVector per input sample once the window is full.
-    """
-    extractor = StreamingExtractor(config)
-    for sample in samples:
-        row = extractor.push(sample)
-        if row is not None:
-            yield FeatureVector(sample.timestamp, row[0], row[1:4], row[4], row[5])
 
 
 def sliding_windows(values: np.ndarray, n_w: int) -> np.ndarray:
@@ -158,6 +107,16 @@ def batch_features(t, f_tip, f_a, config: DwtConfig, labels=None):
     X = np.column_stack([f_a[tail], np.asarray(f_tip)[tail], m, sigma])
     y = None if labels is None else np.asarray(labels, dtype=int)[tail]
     return X, y, np.asarray(t)[tail]
+
+
+def extract_stream(samples, config: DwtConfig | None = None) -> list[FeatureVector]:
+    """One FeatureVector per window end of a ForceSample series: the rows
+    ``batch_features`` computes from the samples' arrays."""
+    samples = list(samples)
+    t = [s.timestamp for s in samples]
+    f_tip = np.array([s.f_tip for s in samples], dtype=float).reshape(-1, 3)
+    X, _, t_out = batch_features(t, f_tip, [s.f_a for s in samples], config or DwtConfig())
+    return [FeatureVector(t_k, x[0], x[1:4], x[4], x[5]) for t_k, x in zip(t_out.tolist(), X)]
 
 
 def detail_energies(values: np.ndarray, n_w: int) -> np.ndarray:

@@ -14,13 +14,15 @@ with ``what``; a missing key reads ``no 'x' field``. ``detect`` catches the
 same MALFORMED per line and reports each line by its own class.
 
 What a number is, for every record that holds one, is decided here too. A
-reader hands the raw JSON values to a record, which checks them by these rules.
+reader hands the raw JSON values to a record, which checks them by these rules;
+a JSON list becomes an array through ``number_array``.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -47,6 +49,20 @@ def is_number_array(array: np.ndarray) -> bool:
     integers past 64 bits, of object dtype with every entry a number."""
     kind = array.dtype.kind
     return kind in "iuf" or (kind == "O" and all(map(is_number, array.flat)))
+
+
+def number_array(values) -> np.ndarray:
+    """The array of a JSON value that should hold numbers. numpy reads a lone
+    true or false among numbers as 1 or 0, so a bool in a number array is
+    refused here, by one scan of its entries; the record checks the rest."""
+    array = np.array(values)
+    if array.ndim and array.dtype.kind in "iuf":
+        entries = values
+        for _ in range(array.ndim - 1):
+            entries = chain.from_iterable(entries)
+        if bool in set(map(type, entries)):
+            raise TypeError("true or false among numbers")
+    return array
 
 
 def _object(data: bytes, what: str, line=None) -> dict:

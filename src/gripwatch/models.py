@@ -32,7 +32,8 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, DwtConfig
 from .files import (
-    check_header, is_integer, is_number, is_number_array, malformed, read_json, write_json
+    check_header, is_integer, is_number, is_number_array, malformed, number_array, read_json,
+    write_json,
 )
 
 MODEL_FORMAT = "gripwatch-model"
@@ -321,8 +322,9 @@ def load_model(path) -> LinearModel:
     payload = read_json(path, "model")
     check_header(payload, MODEL_FORMAT, MODEL_VERSION)
     with malformed("malformed model file"):
+        weights, means, stds = (number_array(payload[key]) for key in ("weights", "means", "stds"))
         return LinearModel(
-            *(payload[key] for key in ("weights", "bias", "means", "stds", "mask")),
+            weights, payload["bias"], means, stds, payload["mask"],
             TrainConfig(**payload["train_config"]),
             DwtConfig(n_w=payload["n_w"]),
         )

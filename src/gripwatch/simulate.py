@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidConfig, InvariantViolation, LengthMismatch, ParseError
-from .files import is_integer, is_number, malformed, read_jsonl, write_jsonl
+from .files import is_integer, is_number, malformed, number_array, read_jsonl, write_jsonl
 from .models import check_binary_labels
 from .tactile import DEFAULT_N_S, FingertipGeometry, TaxelFrame, aggregate_taxels
 
@@ -322,7 +322,7 @@ def load_episode_log(path, geometry: FingertipGeometry) -> LabeledEpisode:
     for lineno, record in records:
         with malformed("", lineno):  # ragged taxels are a ValueError of np.array
             frame = TaxelFrame(
-                record["t"], record["fingertip"], np.array(record["taxels"]), record["label"]
+                record["t"], record["fingertip"], number_array(record["taxels"]), record["label"]
             )
         if frame.label is None:
             raise ParseError("label must be 0 or 1, got None", line=lineno)
@@ -330,6 +330,10 @@ def load_episode_log(path, geometry: FingertipGeometry) -> LabeledEpisode:
             n_s = frame.n_s
         elif frame.n_s != n_s:
             raise ParseError(f"expected {n_s} taxel readings, found {frame.n_s}", line=lineno)
+        if frame.n_s != geometry.n_s:
+            raise ParseError(
+                f"frame has {frame.n_s} taxels, geometry has {geometry.n_s}", line=lineno
+            )
         if fingertip_id is None:
             fingertip_id = frame.fingertip_id
         elif frame.fingertip_id != fingertip_id:

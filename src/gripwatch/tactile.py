@@ -5,11 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation, LengthMismatch, NonFiniteInput
-from .files import is_integer, is_number, is_number_array, malformed, read_json, write_json
+from .files import (
+    is_integer, is_number, is_number_array, malformed, number_array, read_json, write_json
+)
 
 DEFAULT_N_S = 30
 
@@ -100,23 +103,19 @@ class FingertipGeometry:
         return cls(np.broadcast_to(np.eye(3), (n_s, 3, 3)).copy())
 
 
-@dataclass(frozen=True)
-class ForceSample:
-    """Aggregated fingertip force at one time step."""
+class ForceSample(NamedTuple):
+    """Aggregated fingertip force at one time step, as ``extract_stream`` reads it."""
 
     timestamp: float
     f_tip: np.ndarray  # [F_x, F_y, F_z] in the fingertip frame
     f_a: float  # Euclidean norm of f_tip
 
-    def __post_init__(self):
-        object.__setattr__(self, "f_tip", np.asarray(self.f_tip, dtype=float))
-        self.f_tip.setflags(write=False)
 
-
-def aggregate_tip_force(frame: TaxelFrame, geometry: FingertipGeometry) -> ForceSample:
-    """Sum one frame's per-taxel forces rotated into the fingertip frame."""
+def aggregate_tip_force(frame: TaxelFrame, geometry: FingertipGeometry):
+    """(f_tip (3,), f_a) of one frame: its per-taxel forces rotated into the
+    fingertip frame and summed, and their norm."""
     f_tip, f_a = aggregate_taxels(frame.taxels[None], geometry)
-    return ForceSample(frame.timestamp, f_tip[0], float(f_a[0]))
+    return f_tip[0], float(f_a[0])
 
 
 def aggregate_taxels(taxels: np.ndarray, geometry: FingertipGeometry):
@@ -166,4 +165,4 @@ def load_geometry(path) -> FingertipGeometry:
         n_s, flat = payload["n_s"], payload["rotations"]
         if not is_integer(n_s) or n_s != len(flat):
             raise ValueError(f"n_s must be {len(flat)}, the number of rotations, got {n_s!r}")
-        return FingertipGeometry(np.array(flat).reshape(n_s, 3, 3))
+        return FingertipGeometry(number_array(flat).reshape(n_s, 3, 3))

@@ -944,18 +944,23 @@ def test_detect_rejects_a_bad_geometry_file_before_any_frame(workspace, tmp_path
     assert captured.err.count("\n") == 1, captured.err
 
 
+ECHO = "line 1: bad config echo: "
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, n_s, error",
     [
-        lambda c: c.update(sample_rate_hz=float("nan")),
-        lambda c: c.update(noise_std=float("inf")),
-        lambda c: c["phase_durations"].update(locked=-1.0),
-        lambda c: c["disturbance"].update(count=2.5),
-        lambda c: c["locked_force"].__setitem__(0, 10**400),
-        lambda c: c.update(seed=2.5),
-        lambda c: c.update(object_id=float("nan")),
-        lambda c: c.update(locked_force=[1.0, 2.0]),
-        lambda c: c.update(fingertip_id=5),
+        (lambda c: c.update(sample_rate_hz=float("nan")), 30, ECHO),
+        (lambda c: c.update(noise_std=float("inf")), 30, ECHO),
+        (lambda c: c["phase_durations"].update(locked=-1.0), 30, ECHO),
+        (lambda c: c["disturbance"].update(count=2.5), 30, ECHO),
+        (lambda c: c["locked_force"].__setitem__(0, 10**400), 30, ECHO),
+        (lambda c: c.update(seed=2.5), 30, ECHO),
+        (lambda c: c.update(object_id=float("nan")), 30, ECHO),
+        (lambda c: c.update(locked_force=[1.0, 2.0]), 30, ECHO),
+        (lambda c: c.update(fingertip_id=5), 30, ECHO),
+        (lambda c: c.update(gripper="two-finger"), 30, ECHO),
+        (lambda c: None, 2, "line 2: frame has 30 taxels, geometry has 2"),
     ],
     ids=[
         "NaN sample rate",
@@ -967,22 +972,26 @@ def test_detect_rejects_a_bad_geometry_file_before_any_frame(workspace, tmp_path
         "NaN object_id",
         "two locked force components",
         "integer fingertip id",
+        "unknown field",
+        "2-taxel geometry",
     ],
 )
-def test_extract_rejects_a_bad_config_echo(workspace, tmp_path, capsys, edit):
+def test_extract_rejects_a_bad_config_echo(workspace, tmp_path, capsys, edit, n_s, error):
+    """A bad log in a dataset directory is one error line that names the log,
+    and the line."""
     episode = sorted((workspace / "data").glob("episode*.jsonl"))[0]
     header, *frames = episode.read_text().splitlines()
     header = json.loads(header)
     edit(header["config"])
     data = tmp_path / "data"
     data.mkdir()
-    _copy_geometry(workspace, data)
+    save_geometry(FingertipGeometry.identity(n_s), data / "geometry.json")
     (data / episode.name).write_text("\n".join([json.dumps(header), *frames]) + "\n")
     out = tmp_path / "f.jsonl"
     assert main(["extract", "--in", str(data), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.startswith("error: ParseError: line 1: bad config echo: "), captured.err
+    assert captured.err.startswith(f"error: ParseError: {data / episode.name}: {error}"), captured.err
     assert captured.err.count("\n") == 1, captured.err
 
 
@@ -992,9 +1001,16 @@ def _map_numbers(value, convert):
     return convert(value)
 
 
+def _with_first_entry(value, entry):
+    if isinstance(value, list):
+        return [_with_first_entry(value[0], entry), *value[1:]]
+    return entry
+
+
 def _type_mutants(record, paths):
     """Copies of ``record`` with one number field in turn written as true, as
-    its string form and, for an array, with its entries as booleans."""
+    its string form and, for an array, with its entries as booleans and with
+    its first entry alone as true."""
     for path in paths:
         value = record
         for key in path:
@@ -1003,13 +1019,15 @@ def _type_mutants(record, paths):
         yield _with_field(record, path, _map_numbers(value, str))
         if isinstance(value, list):
             yield _with_field(record, path, _map_numbers(value, bool))
+            yield _with_field(record, path, _with_first_entry(value, True))
 
 
 FEATURE_FIELDS = [(key,) for key in ("t", "fa", "fx", "fy", "fz", "m", "sigma", "label")]
 MODEL_FIELDS = [("n_w",), ("means",), ("stds",), ("weights",), ("bias",)] + [
     ("train_config", key) for key in ("l2_lambda", "max_iters")
 ]
-# input -> (its line to edit, number fields, other edits, the start of its one error line)
+# input -> (its line to edit, number fields, other edits, the start of its one
+# error line, where {bad} is the edited file)
 TYPE_SWEEP = {
     # frame 40 of fingertip ft0 again, between ft0's frames and those of a
     # fingertip "5": a numeric id must not reach "5"'s detector
@@ -1018,7 +1036,8 @@ TYPE_SWEEP = {
         "error: frame 42: ",
     ),
     "episode log": (
-        1, [("t",), ("taxels",), ("label",)], [{"fingertip": 5}], "error: ParseError: line 2: "
+        1, [("t",), ("taxels",), ("label",)], [{"fingertip": 5}],
+        "error: ParseError: {bad}: line 2: ",
     ),
     "feature file": (1, FEATURE_FIELDS, [], "error: ParseError: line 2: "),
     "model": (0, MODEL_FIELDS, [], "error: ParseError: malformed model file: "),
@@ -1062,7 +1081,8 @@ def test_a_bool_or_a_string_for_a_number_is_one_error_line(workspace, tmp_path, 
         assert main(argv) == rc, mutant
         captured = capsys.readouterr()
         assert captured.out == out, mutant
-        assert captured.err.startswith(error) and captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith(error.format(bad=bad)), captured.err
+        assert captured.err.count("\n") == 1, captured.err
     assert not (tmp_path / "f.jsonl").exists() and not (tmp_path / "m.json").exists()
 
 

@@ -100,13 +100,16 @@ def test_failed_grasp_dominated_by_unstable(model, geometry):
     assert dist_states.count(UNSTABLE) > dist_states.count(STABLE)
 
 
-def test_fingertips_are_independent(model, geometry, episodes):
+@pytest.mark.parametrize("tau", [0.5, None])
+def test_fingertips_are_independent(model, geometry, episodes, tau):
+    """Interleaved fingertips, each calibrating its own tau when none is
+    given, give what each gives alone."""
     ep = episodes[0]
     frames_a = [TaxelFrame(f.timestamp, "a", f.taxels) for f in ep.frames]
     frames_b = [TaxelFrame(f.timestamp, "b", f.taxels) for f in ep.frames]
     interleaved = [f for pair in zip(frames_a, frames_b) for f in pair]
-    merged = list(detect_stream(interleaved, model, geometry, tau=0.5))
-    solo = list(detect_stream(frames_a, model, geometry, tau=0.5))
+    merged = list(detect_stream(interleaved, model, geometry, tau=tau))
+    solo = list(detect_stream(frames_a, model, geometry, tau=tau))
     for key in ("a", "b"):
         per_finger = [d for d in merged if d.fingertip_id == key]
         assert len(per_finger) == len(solo)
@@ -209,27 +212,52 @@ def test_detector_window_comes_from_the_model(episodes, geometry):
     assert [d.sigma for d in out] == X[:, 5].tolist()
 
 
+def tip_force_frame(t, f_z):
+    """A frame whose one nonzero taxel force is f_z along z."""
+    taxels = np.zeros((N_S, 3))
+    taxels[0, 2] = f_z
+    return TaxelFrame(t, "ft0", taxels)
+
+
+# Force amplitudes near the float range that the detector accepts. Zeroing the
+# last one turns its Haar detail against the other six, and sigma's sum of
+# squares overflows.
+NEAR_FLOAT_RANGE = [0.0, 1.2e154] * 6 + [1.2e154] * 2
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_rejected_frames_leave_the_detector_unchanged(model, geometry, episodes):
-    frames = episodes[0].frames[:80]
-    clean = FingertipDetector(model, geometry)
-    noisy = FingertipDetector(model, geometry)
-    big = np.zeros((N_S, 3))
-    big[0, 2] = 1e200  # finite taxels whose force amplitude overflows
-    expected, got = [], []
-    for i, frame in enumerate(frames):
-        expected += clean.process(frame)
-        if i:
-            bad = (
-                TaxelFrame(frame.timestamp - 1.0, "ft0", frame.taxels),
-                TaxelFrame(frame.timestamp, "ft0", np.full((N_S, 3), np.nan)),
-                TaxelFrame(frame.timestamp, "ft0", np.zeros((N_S + 1, 3))),
-                TaxelFrame(frame.timestamp, "ft0", big),
-            )
-            for b in bad:
-                with pytest.raises(GripwatchError):
-                    noisy.process(b)
-            with pytest.raises(NonFiniteInput):  # no detector ever sees this frame
-                TaxelFrame(float("nan"), "ft0", frame.taxels)
-        got += noisy.process(frame)
-    assert got == expected and len(got) == 80 - 13
+    def refused_at_any_frame(i, frame):
+        if not i:
+            return []
+        return [
+            (TaxelFrame(frame.timestamp - 1.0, "ft0", frame.taxels), "< previous"),
+            (TaxelFrame(frame.timestamp, "ft0", np.full((N_S, 3), np.nan)), "NaN/Inf"),
+            (TaxelFrame(frame.timestamp, "ft0", np.zeros((N_S + 1, 3))), "taxels"),
+            (tip_force_frame(frame.timestamp, 1e200), "force amplitude"),  # f_a overflows
+        ]
+
+    near = [tip_force_frame(i / 150.0, f_z) for i, f_z in enumerate(NEAR_FLOAT_RANGE)]
+
+    def refused_at_the_last_frame(i, frame):
+        if i < len(near) - 1:
+            return []
+        return [(tip_force_frame(frame.timestamp, 0.0), "window statistics")]  # sigma overflows
+
+    streams = [
+        (episodes[0].frames[:80], None, refused_at_any_frame, 80 - 13),
+        (near, 0.5, refused_at_the_last_frame, 1),
+    ]
+    for frames, tau, refused, n_detections in streams:
+        clean = FingertipDetector(model, geometry, tau=tau)
+        noisy = FingertipDetector(model, geometry, tau=tau)
+        expected, got = [], []
+        for i, frame in enumerate(frames):
+            expected += clean.process(frame)
+            for bad, reason in refused(i, frame):
+                with pytest.raises(GripwatchError, match=reason):
+                    noisy.process(bad)
+            got += noisy.process(frame)
+        assert got == expected and len(got) == n_detections
+    with pytest.raises(NonFiniteInput):  # no detector ever sees this frame
+        TaxelFrame(float("nan"), "ft0", np.zeros((N_S, 3)))

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gripwatch.errors import (
-    BadWindowLength,
-    InvalidConfig,
-    NonFiniteInput,
-    OutOfOrderTimestamp,
-)
+from gripwatch.errors import BadWindowLength, InvalidConfig, NonFiniteInput
 from gripwatch.features import (
     DwtConfig,
-    StreamingExtractor,
     batch_features,
     extract_stream,
     haar_decompose,
@@ -157,35 +151,6 @@ def test_stream_warmup_and_emission_count(n_samples, expected):
         assert out[-1].timestamp == pytest.approx((n_samples - 1) * 0.1)
 
 
-def test_stream_rejects_out_of_order_timestamps():
-    extractor = StreamingExtractor(DwtConfig(n_w=4))
-    extractor.push(ForceSample(1.0, [0, 0, 0], 0.0))
-    with pytest.raises(OutOfOrderTimestamp):
-        extractor.push(ForceSample(0.5, [0, 0, 0], 0.0))
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_rejected_sample_leaves_the_extractor_unchanged():
-    values = np.linspace(1.0, 2.0, 10)
-    clean = StreamingExtractor(DwtConfig(n_w=4))
-    noisy = StreamingExtractor(DwtConfig(n_w=4))
-    bad = (
-        ForceSample(-1.0, [0, 0, 0], 0.0),  # older than the last sample
-        ForceSample(np.nan, [0, 0, 0], 1.0),  # would disable the order check
-        ForceSample(99.0, [np.nan, 0, 0], 1.0),
-        ForceSample(99.0, [0, 0, 0], np.inf),
-        ForceSample(99.0, [1e200, 0, 0], 1e200),  # sigma overflows
-    )
-    for i, sample in enumerate(samples_from(values)):
-        expected = clean.push(sample)
-        if i:
-            for b in bad:
-                with pytest.raises((OutOfOrderTimestamp, NonFiniteInput)):
-                    noisy.push(b)
-        got = noisy.push(sample)
-        assert (got is None and expected is None) or np.array_equal(got, expected)
-
-
 def test_streaming_matches_brute_force_oracle():
     rng = np.random.default_rng(7)
     values = rng.normal(5.0, 2.0, size=300)
@@ -209,14 +174,11 @@ def test_batch_features_match_streaming():
     cfg = DwtConfig(n_w=8)
     X, y, t_out = batch_features(t, f_tip, f_a, cfg, labels=labels)
     assert np.array_equal(y, labels[7:])
-    extractor = StreamingExtractor(cfg)
-    rows = [extractor.push(ForceSample(t[i], f_tip[i], f_a[i])) for i in range(n)]
-    assert rows[:7] == [None] * 7
-    # one kernel on both paths: the same rows, bit for bit
-    assert np.array_equal(np.stack(rows[7:]), X)
-    streamed = list(extract_stream([ForceSample(t[i], f_tip[i], f_a[i]) for i in range(n)], cfg))
+    streamed = extract_stream([ForceSample(t[i], f_tip[i], f_a[i]) for i in range(n)], cfg)
     assert [phi.timestamp for phi in streamed] == t_out.tolist()
-    assert np.array_equal([[phi.m, phi.sigma] for phi in streamed], X[:, 4:])
+    # one kernel on both paths: the same rows, bit for bit
+    rows = [[phi.f_a, *phi.f_tip, phi.m, phi.sigma] for phi in streamed]
+    assert np.array_equal(rows, X)
 
 
 def test_batch_features_short_series_is_empty():

@@ -34,14 +34,15 @@ def _drop(record, path):
     del record[last]
 
 
-# input -> (its file, the line that loses a key, the key's path, the error)
+# input -> (its file, the line that loses a key, the key's path, the error, where
+# {log} is the episode log)
 MISSING = {
     "model": ("model.json", 0, ("weights",), "malformed model file: no 'weights' field"),
     "geometry": ("geometry.json", 0, ("rotations",), "malformed geometry file: no 'rotations' field"),
     "config echo": (
-        "episode.jsonl", 0, ("config", "disturbance"), "line 1: bad config echo: no 'disturbance' field"
+        "episode.jsonl", 0, ("config", "disturbance"), "{log}: line 1: bad config echo: no 'disturbance' field"
     ),
-    "frame": ("episode.jsonl", 1, ("taxels",), "line 2: no 'taxels' field"),
+    "frame": ("episode.jsonl", 1, ("taxels",), "{log}: line 2: no 'taxels' field"),
     "feature record": ("features.jsonl", 1, ("sigma",), "line 2: bad feature record: no 'sigma' field"),
 }
 
@@ -76,4 +77,5 @@ def test_a_missing_key_reads_the_same_in_every_reader(dataset, tmp_path, capsys,
     }[name]
     capsys.readouterr()
     assert main(argv) == 2
+    message = message.format(log=tmp_path / "episode.jsonl")
     assert capsys.readouterr().err == f"error: ParseError: {message}\n"
