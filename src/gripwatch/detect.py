@@ -15,7 +15,7 @@ from the frames it has, in ``finish``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ def _check_tau(tau: float | None) -> None:
         raise InvalidConfig(f"tau must be finite and >= 0, got {tau}")
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     timestamp: float
     fingertip_id: str
     state: str

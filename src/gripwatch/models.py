@@ -140,20 +140,9 @@ def _affine(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _logreg_loss(z, y, w, l2_lambda) -> float:
-    # softplus(z) = log(1 + e^z) by the formula np.logaddexp(0, z) uses,
-    # max(z, 0) + log1p(e^-|z|), but as whole-array exp and log1p, which are
-    # SIMD loops where logaddexp is a scalar one. The exponent is clamped at
-    # -708 so that exp cannot underflow; past |z| = 708 the log1p term is
-    # below 1e-307. The steps run in place to spare temporaries; they are the
-    # same operations on the same operands as the one-line formula, so the
-    # loss and gradient are bit-identical to it.
-    t = np.abs(z)
-    np.minimum(t, 708.0, out=t)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    t += np.maximum(z, 0.0)
-    t -= y * z
+    # softplus(z) = max(z, 0) + log1p(e^-|z|) as np.logaddexp(0, z) computes it, but in
+    # SIMD loops; the clamp keeps exp from underflowing, where log1p is below 1e-307
+    t = np.log1p(np.exp(-np.minimum(np.abs(z), 708.0))) + np.maximum(z, 0.0) - y * z
     return float(np.mean(t) + 0.5 * l2_lambda * w @ w)
 
 
@@ -289,7 +278,10 @@ def predict_score_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:
     cols = np.asarray(X, dtype=float)[:, np.asarray(model.feature_mask, dtype=bool)]
     if not np.isfinite(cols).all():
         raise NonFiniteFeature("feature matrix contains NaN/Inf")
-    return ((cols - model.means) / model.stds) @ model.weights + model.bias
+    # An elementwise product and a row sum, not a matrix product: a matmul sums
+    # in an order that depends on the number of rows, so a row scored alone
+    # (detect) could differ in its last bits from the same row in a batch.
+    return (((cols - model.means) / model.stds) * model.weights).sum(axis=1) + model.bias
 
 
 def predict_label_batch(model: LinearModel, X: np.ndarray) -> np.ndarray:

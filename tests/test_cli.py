@@ -16,7 +16,7 @@ import pytest
 from gripwatch.cli import DETECT_READ_SIZE, main
 from gripwatch.evaluate import DEFAULT_ABLATION_GROUPS
 from gripwatch.features import DwtConfig, batch_features
-from gripwatch.models import load_model, predict_score_batch
+from gripwatch.models import load_model, predict_score_batch, sigmoid
 from gripwatch.simulate import load_episode_log
 from gripwatch.tactile import FingertipGeometry, aggregate_series, load_geometry, save_geometry
 
@@ -714,6 +714,12 @@ def _rotations(n, seed):
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * k @ k
 
 
+def _p_stable(scores, contact):
+    """What detect prints as p_stable for a logreg model, bit for bit: the
+    sigmoid of the batch score in contact, null off contact."""
+    return [float(sigmoid(s)) if c else None for s, c in zip(scores, contact)]
+
+
 def test_pipeline_in_rotated_taxel_frames(workspace, tmp_path, capsys):
     """The workspace's taxels, each written in its own seeded frame and saved
     with that geometry: extract and train aggregate through it, so eval
@@ -755,6 +761,7 @@ def test_pipeline_in_rotated_taxel_frames(workspace, tmp_path, capsys):
     assert [d["t"] for d in out] == t_out.tolist()
     assert [d["sigma"] for d in out] == X[:, 5].tolist()
     assert [d["state"] for d in out] == states.tolist()
+    assert [d["p_stable"] for d in out] == _p_stable(scores, X[:, 0] >= 0.5)
     assert {"stable", "unstable", "no_contact"} <= set(states.tolist())
 
 
@@ -794,6 +801,7 @@ def test_pipeline_at_n_w_8_takes_the_window_from_the_model(workspace, tmp_path, 
     assert [d["sigma"] for d in out] == X[:, 5].tolist()
     states = np.where(X[:, 0] < 0.5, "no_contact", np.where(scores > 0, "stable", "unstable"))
     assert [d["state"] for d in out] == states.tolist()
+    assert [d["p_stable"] for d in out] == _p_stable(scores, X[:, 0] >= 0.5)
     assert {"stable", "unstable", "no_contact"} <= set(states.tolist())
 
     # the window is the model's alone
@@ -993,6 +1001,34 @@ def test_extract_rejects_a_bad_config_echo(workspace, tmp_path, capsys, edit, n_
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith(f"error: ParseError: {data / episode.name}: {error}"), captured.err
     assert captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("case", ["timestamp decreases", "log of a header", "features of a header"])
+def test_a_file_that_goes_back_in_time_or_holds_no_rows_is_one_error_line(
+    workspace, tmp_path, capsys, case
+):
+    _copy_geometry(workspace, tmp_path)
+    header, *frames = (line.decode() for line in _episode_lines(workspace))
+    first, second = (json.loads(frame)["t"] for frame in frames[:2])
+    log, features = tmp_path / "episode.jsonl", tmp_path / "features.jsonl"
+    out = tmp_path / "out.json"
+    extract = ["extract", "--in", str(log), "--out", str(out)]
+    path, lines, argv, error = {
+        "timestamp decreases": (
+            log, [header, frames[1], frames[0], *frames[2:]], extract,
+            f"{log}: line 3: timestamp {first} decreases below {second}",
+        ),
+        "log of a header": (log, [header], extract, f"{log}: no frames"),
+        "features of a header": (
+            features, (workspace / "features.jsonl").read_text().splitlines()[:1],
+            ["train", "--features", str(features), "--out", str(out)], "no feature rows",
+        ),
+    }[case]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: ParseError: {error}\n")
+    assert not out.exists()
 
 
 def _map_numbers(value, convert):

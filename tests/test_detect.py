@@ -16,6 +16,7 @@ from gripwatch.models import (
     LinearModel,
     TrainConfig,
     predict_score_batch,
+    sigmoid,
     train,
 )
 from gripwatch.simulate import DisturbanceConfig, EpisodeConfig, PhaseDurations, generate_dataset
@@ -197,6 +198,8 @@ def test_detector_computes_what_the_batch_path_computes(model, geometry, episode
     assert 0 < contact.sum() < len(out)
     states = np.where(scores > 0, STABLE, UNSTABLE)
     assert [d.state for d in out if d.state != NO_CONTACT] == states[contact].tolist()
+    p_stable = [float(sigmoid(s)) if c else None for s, c in zip(scores, contact)]
+    assert [d.p_stable for d in out] == p_stable  # to the bit: one score order at any batch size
 
 
 def test_detector_window_comes_from_the_model(episodes, geometry):

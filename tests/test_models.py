@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -187,6 +188,24 @@ def test_predict_score_affine_and_trivial_cases():
     assert twice - base == pytest.approx(2 * (bumped - base), abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["logreg", "svm"])
+def test_a_score_keeps_its_bits_at_any_batch_size(kind):
+    """detect scores one row at a time and the study whole batches: a row's
+    score is the same bits either way, in either memory order, for any mask."""
+    X, y = synthetic_dataset(n=300, seed=6)
+    X *= np.array([1e-3, 1.0, 40.0, 0.2, 7.0, 1e3])  # columns of unlike scale
+    for mask in itertools.product((False, True), repeat=6):
+        if not any(mask):
+            continue
+        model = train((X, y), TrainConfig(kind=kind, max_iters=20), mask=mask)
+        whole = predict_score_batch(model, X).tobytes()
+        for rows in (X, np.asfortranarray(X)):
+            for size in (1, 7, len(rows)):
+                starts = range(0, len(rows), size)
+                chunks = [predict_score_batch(model, rows[i : i + size]) for i in starts]
+                assert np.concatenate(chunks).tobytes() == whole, (mask, size)
+
+
 def test_zero_model_scores_zero_and_predicts_unstable():
     model = LinearModel(
         weights=np.zeros(6),
@@ -250,7 +269,8 @@ def test_loss_matches_logaddexp_reference_without_fp_errors():
 
 
 def loss_grad_reference(theta, X, y, l2_lambda):
-    """The one-line formula the in-place logreg_loss_grad must reproduce bit for bit."""
+    """The one-line formulas that logreg_loss_grad, its gradient computed in
+    place, must reproduce bit for bit."""
     w, b = theta[:-1], theta[-1]
     z = X @ w + b
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.minimum(np.abs(z), 708.0)))
