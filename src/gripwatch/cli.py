@@ -37,7 +37,8 @@ from .detect import MultiFingerDetector
 from .errors import GripwatchError, InvalidConfig, ParseError
 from .features import FEATURE_NAMES, DwtConfig
 from .files import (
-    MALFORMED, is_integer, is_number, malformed, number_array, read_jsonl, write_json, write_jsonl
+    MALFORMED, check_header, is_integer, is_number, malformed, number_array, read_jsonl, write_json,
+    write_jsonl,
 )
 from .models import (
     DEFAULT_MASK,
@@ -47,7 +48,10 @@ from .models import (
     save_model,
     train,
 )
-from .simulate import EpisodeConfig, generate_dataset, load_episode_log, save_episode_log
+from .simulate import (
+    EPISODE_FORMAT, EPISODE_VERSION, EpisodeConfig, generate_dataset, load_episode_log,
+    save_episode_log,
+)
 from .tactile import FingertipGeometry, TaxelFrame, load_geometry, save_geometry
 
 FEATURES_FORMAT = "gripwatch-features"
@@ -260,7 +264,8 @@ def _detect_line(detector, lineno, line):
         return 0
     try:
         record = json.loads(line)
-        if isinstance(record, dict) and "format" in record:  # episode header line
+        if isinstance(record, dict) and "format" in record:  # an episode header, skipped
+            check_header(record, EPISODE_FORMAT, EPISODE_VERSION)
             return 0
         frame = TaxelFrame(record["t"], record["fingertip"], number_array(record["taxels"]))
         detections = detector.process(frame)

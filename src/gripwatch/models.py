@@ -4,9 +4,9 @@ Both kinds are fitted by one deterministic loop, full-batch gradient descent
 with Armijo backtracking from zero, on a smooth loss: the logistic loss or the
 squared hinge, at the one L2 weight that TrainConfig gives. Nothing here
 searches for that weight: windows of one episode overlap, so an honest choice
-needs folds grouped by episode, which only the study knows. No loss is evaluated
-for an Armijo test that the descent lemma passes beyond a rounding bound, and the
-fit is bit-identical to that of the full test. Feature columns follow
+needs folds grouped by episode, which only the study knows. Where a bound on the
+loss's curvature shows the descent lemma passes every unit step's Armijo test,
+each step is the unit step and no loss is evaluated. Feature columns follow
 features.FEATURE_NAMES; a boolean mask selects the active subset (the
 moving-average column is masked off by default). LinearModel holds exactly
 what a model file (version 3) holds, the TrainConfig and so the kind once,
@@ -197,42 +197,28 @@ _HALVES = {"logreg": (_logreg_loss, _logreg_grad, 0.25), "svm": (_svm_loss, _svm
 def _descend(loss_grad, X, y, config: TrainConfig):
     """Armijo-backtracked gradient descent on ``loss_grad`` from theta = 0; returns (w, b).
 
-    Where L <= 1 bounds the curvature, the descent lemma passes the unit step's test
-    f(theta - g) <= f(theta) - |g|^2 / 2 by (1 - L) |g|^2 / 2; while that margin exceeds
-    the rounding bound below, no loss is evaluated. The steps stay the same to the bit.
+    The curvature bound L fixes the step rule once per fit. Where L <= 1 the descent
+    lemma passes every unit step's test f(theta - g) <= f(theta) - |g|^2 / 2, so each
+    step is the unit step and no loss is evaluated; else each step is backtracked from 1.
     """
     loss_half, grad_half, c = _HALVES[config.kind]
     y, lam = y.astype(float), config.l2_lambda
     n, d = X.shape
     sums = X.sum(axis=0)[:, None]
     gram = np.block([[X.T @ X, sums], [sums.T, n]]) / n  # G / n, G the Gram matrix of [X 1]
-    curvature = c * np.linalg.eigvalsh(gram)[-1] + lam
-    rms = np.sqrt(np.diag(gram))  # root mean square of each column of [X 1]
-    # Rounding bound, u = 2^-53: A = 1 + rms . (|theta| + |g|) bounds 1 + the mean of
-    # sum_j |x_j theta_j| over rows x of [X 1] at theta and theta - g (Cauchy-Schwarz).
-    # With elementary functions good to a few ulps, each computed loss is within
-    # u (2d + log2 n + 24) A^2 (the hinge's slack is at most 1 + |z|); g within
-    # u |rms| (2n + 2d + 14) A, moving f(theta - g) by |g| times that; G / n within
-    # u (n + 8d) |rms|^2, moving the margin by |g|^2 times that. Rounding theta - g and
-    # the test adds 4 u A^2, as |g|^2 / 2 <= f(theta) <= f(0) <= 1 while L <= 1.
-    # In all, under u (2n + 64 (d + 1)) (A (1 + |g| |rms|))^2.
-    ulps = np.finfo(float).eps / 2 * (2 * n + 64 * (d + 1))
+    backtrack = c * np.linalg.eigvalsh(gram)[-1] + lam > 1.0
     theta = np.zeros(d + 1)
     loss, grad = loss_grad(theta, X, y, lam)
     for _ in range(config.max_iters):
         gnorm2 = grad @ grad
         if np.sqrt(gnorm2) <= TOLERANCE:
             break
-        scale = (1.0 + rms @ (np.abs(theta) + np.abs(grad))) * (1.0 + np.sqrt(gnorm2 * (rms @ rms)))
-        decided = 0.5 * (1.0 - curvature) * gnorm2 > ulps * scale**2
-        if not decided and loss is None:
-            loss = loss_half(_affine(theta, X), y, theta[:-1], lam)
         step = 1.0
         for _ in range(60):  # Armijo backtracking
             candidate = theta - step * grad
             z = _affine(candidate, X)
-            new_loss = None if decided else loss_half(z, y, candidate[:-1], lam)
-            if decided or new_loss <= loss - 0.5 * step * gnorm2:
+            new_loss = loss_half(z, y, candidate[:-1], lam) if backtrack else None
+            if not backtrack or new_loss <= loss - 0.5 * step * gnorm2:
                 break
             step *= 0.5
         theta, loss, grad = candidate, new_loss, grad_half(z, X, y, candidate[:-1], lam)

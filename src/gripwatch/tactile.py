@@ -69,9 +69,10 @@ class FingertipGeometry:
 
     def __post_init__(self):
         rotations = np.asarray(self.rotations)
-        if not is_number_array(rotations) or rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
+        shape = rotations.shape
+        if not is_number_array(rotations) or len(shape) != 3 or shape[1:] != (3, 3) or not shape[0]:
             raise InvariantViolation(
-                f"rotations must be (n_s, 3, 3) numbers, got {rotations.dtype} {rotations.shape}"
+                f"rotations must be (n_s, 3, 3) numbers, n_s >= 1, got {rotations.dtype} {shape}"
             )
         rotations = rotations.astype(float, copy=False)
         if not np.isfinite(rotations).all():

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gripwatch import models
 from gripwatch.cli import DETECT_READ_SIZE, main
 from gripwatch.evaluate import DEFAULT_ABLATION_GROUPS
 from gripwatch.features import DwtConfig, batch_features
@@ -160,6 +161,35 @@ def test_study_matches_the_pinned_record(workspace, study):
     assert f"threshold={threshold:.6g} degenerate=False" in out
 
 
+# The record of `gripwatch study` on its default dataset (6 x 5 episodes of
+# seed 0, in memory). To regenerate it:
+#   gripwatch study --report tests/data/study_record_default.json
+STUDY_RECORD_DEFAULT = Path(__file__).parent / "data" / "study_record_default.json"
+
+
+def test_default_study_matches_its_pinned_record(tmp_path, capsys, monkeypatch):
+    """Every logistic fit of the study has L <= 1, so it takes unit steps and
+    evaluates no loss: its bits hang on no Armijo test."""
+    calls = {"loss": [], "grad": []}  # appended to by the fits' threads
+    loss_half, grad_half, c = models._HALVES["logreg"]
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key].append(None)
+            return fn(*args)
+
+        return call
+
+    halves = (counted("loss", loss_half), counted("grad", grad_half), c)
+    monkeypatch.setitem(models._HALVES, "logreg", halves)
+    record = tmp_path / "study.json"
+    assert main(["study", "--report", str(record)]) == 0
+    capsys.readouterr()
+    pinned = json.loads(STUDY_RECORD_DEFAULT.read_text())
+    assert _pinned(json.loads(record.read_text())) == _pinned(pinned)
+    assert calls["grad"] and not calls["loss"]
+
+
 def _table_after(out, title):
     """The lines of the table printed under `title`, header first."""
     start = out.index(title) + 1
@@ -270,6 +300,9 @@ def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
         nan_t,
         json.dumps(huge).encode(),
         b'"format"',  # a string, not a header object
+        (workspace / "model.json").read_bytes().strip(),  # a header of another format
+        b'{"format": "gripwatch-episode", "version": 9}',
+        json.dumps({**json.loads(lines[40]), "format": "frame"}).encode(),
     ]
     fuzzed.write_bytes(b"\n".join(lines[:40] + broken + lines[40:80]) + b"\n")
     rc = main(
@@ -297,6 +330,9 @@ def test_detect_skips_malformed_lines(workspace, capsys, tmp_path):
         (45, "NonFiniteInput"),
         (46, "NonFiniteInput"),
         (47, "TypeError"),
+        (48, "ParseError"),
+        (49, "VersionMismatch"),
+        (50, "ParseError"),
     ]
     # 79 valid frames survive (header excluded), minus the warm-up prefix;
     # every output line is strict JSON
@@ -932,10 +968,11 @@ MALFORMED_GEOMETRY = "ParseError: malformed geometry file: "
         lambda g: g.update(n_s="2", rotations=g["rotations"][:2]),
         lambda g: g.update(rotations=[[str(x) for x in r] for r in g["rotations"]]),
         lambda g: g.update(rotations=[[bool(x) for x in r] for r in g["rotations"]]),
+        lambda g: g.update(n_s=0, rotations=[]),
     ],
     ids=[
         "reflection", "1.1 I", "NaN entry", "one rotation short", "n_s 2.5", "n_s true", "n_s '2'",
-        "string entries", "boolean entries",
+        "string entries", "boolean entries", "no taxels",
     ],
 )
 def test_detect_rejects_a_bad_geometry_file_before_any_frame(workspace, tmp_path, capsys, edit):
